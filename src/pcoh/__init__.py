@@ -2,7 +2,7 @@
 
 Submodules:
 
-* :mod:`pcoh.linalg`   -- Hermitian kernel (Jacobi eigen, tensor ops, partial trace)
+* :mod:`pcoh.linalg`   -- Hermitian kernel (checked eigendecomposition, tensor ops, partial trace)
 * :mod:`pcoh.sdp`      -- dense interior-point semidefinite solver
 * :mod:`pcoh.gambles`  -- P-coherence, natural extension, previsions, credal duals
 * :mod:`pcoh.quantum`  -- states, Born rule, conditioning, evolution, SIC rewrite

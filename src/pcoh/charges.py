@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, SolverFailure, ValidationError
 from .fixtures import bell_signed_charge_table
 from .gambles import Gamble, gamble_eval
 from .quantum import DensityState
@@ -93,31 +92,32 @@ def charge_moment_matrix(c: DiscreteCharge) -> np.ndarray:
 
 
 def _real_coords(m):
-    """Frobenius-isometric real coordinates of a Hermitian matrix."""
-    n = m.shape[0]
-    parts = [m.diagonal().real]
-    rt = np.sqrt(2.0)
-    for i in range(n):
-        row = m[i, i + 1 :]
-        parts.append(rt * row.real)
-        parts.append(rt * row.imag)
-    return np.concatenate(parts)
+    """Frobenius-isometric real coordinates of a Hermitian matrix or a stack of them."""
+    iu, ju = np.triu_indices(m.shape[-1], 1)
+    upper = np.sqrt(2.0) * m[..., iu, ju]
+    return np.concatenate(
+        [np.diagonal(m, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1
+    )
 
 
 def _atom_system(support, dims):
-    cols = []
+    """Real coordinates of each atom's rank-one moment matrix, one column per atom."""
+    stacks = [[] for _ in dims]
     for atom in support:
         if len(atom) != len(dims):
             raise DimensionMismatchError("support atom has the wrong number of factors")
-        vecs = []
-        for v, d in zip(atom, dims):
+        for stack, v, d in zip(stacks, atom, dims):
             v = np.asarray(v, dtype=complex).reshape(-1)
             if v.shape[0] != d:
                 raise DimensionMismatchError("support atom factor has wrong dimension")
-            vecs.append(v / np.linalg.norm(v))
-        full = linalg.kron_all(vecs)
-        cols.append(_real_coords(np.outer(full, full.conj())))
-    return np.column_stack(cols)
+            stack.append(v)
+    k = len(support)
+    full = np.ones((k, 1), dtype=complex)
+    for stack in stacks:
+        vecs = np.array(stack)
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        full = (full[:, :, None] * vecs[:, None, :]).reshape(k, -1)
+    return _real_coords(full[:, :, None] * full[:, None, :].conj()).T
 
 
 def fit_signed_charge(rho: DensityState, support) -> tuple:
@@ -145,21 +145,60 @@ def fit_signed_charge(rho: DensityState, support) -> tuple:
     return charge, residual
 
 
+def _nnls(a, b, max_steps):
+    """Lawson-Hanson active-set solution of min ||a x - b|| subject to x >= 0.
+
+    Lawson & Hanson, *Solving Least Squares Problems* (1974), ch. 23.  Raises
+    :class:`SolverFailure` when ``max_steps`` least-squares solves do not settle.
+    """
+    n = a.shape[1]
+    tol = 10.0 * max(a.shape) * np.finfo(float).eps
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    steps = 0
+    while True:
+        grad = a.T @ (b - a @ x)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            return x
+        passive[j] = True
+        while True:
+            steps += 1
+            if steps > max_steps:
+                raise SolverFailure(
+                    "nonnegative least squares did not converge",
+                    residuals={"steps": steps - 1, "residual": float(np.linalg.norm(a @ x - b))},
+                )
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            neg = passive & (s < 0.0)
+            if not neg.any():
+                x = s
+                break
+            # step from x towards s until the first passive weight reaches zero
+            alpha = np.min(x[neg] / (x[neg] - s[neg]))
+            x = x + alpha * (s - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+
+
 def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
     """Can a probability (w >= 0, sum w = 1) on the support match the moments within tol?
 
-    Solved by active-set nonnegative least squares with the affine constraint
-    enforced through a heavily weighted row, then re-checked exactly.
+    Solved by nonnegative least squares with the affine constraint appended as
+    one unit-weight row, then re-checked exactly on the normalised weights.
+    The row needs no heavier weight: atoms and ``rho`` have unit trace and the
+    diagonal coordinates carry it, so ||A w - r|| >= |sum w - 1| / sqrt(n).
     """
     support = list(support)
     if not support:
         return False
     a = _atom_system(support, rho.dims)
     r = _real_coords(rho.matrix)
-    penalty = 1e6
-    a_aug = np.vstack([a, penalty * np.ones((1, a.shape[1]))])
-    r_aug = np.concatenate([r, [penalty]])
-    w, _ = nnls(a_aug, r_aug, maxiter=50 * a.shape[1])
+    a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
+    r_aug = np.concatenate([r, [1.0]])
+    w = _nnls(a_aug, r_aug, max_steps=50 * a.shape[1])
     total = w.sum()
     if total <= 1e-12:
         return False

@@ -8,10 +8,10 @@ bound on the true minimum, reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from . import linalg
 from .errors import DimensionMismatchError, ValidationError
@@ -19,17 +19,16 @@ from .fixtures import SIGMA_X, SIGMA_Z
 from .gambles import AssessmentSet, Gamble, gamble_eval, natural_extension_contains
 from .quantum import DensityState
 
+_LETTERS = string.ascii_letters
+
 
 @dataclass(frozen=True)
 class ProductStateSearchConfig:
-    grid_resolution: int = 24
     refinement_iterations: int = 200
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_resolution < 8:
-            raise ValidationError("grid_resolution must be at least 8")
         if self.restarts < 4:
             raise ValidationError("restarts must be at least 4")
 
@@ -54,74 +53,75 @@ class PptResult:
         return self.is_ppt
 
 
-def _qubit_state(theta, phi):
-    return np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)], dtype=complex)
-
-
-def _angles_to_states(angles):
-    return [_qubit_state(angles[2 * j], angles[2 * j + 1]) for j in range(len(angles) // 2)]
-
-
 def _form_value(g_matrix, vecs):
     v = linalg.kron_all(vecs)
     return float((v.conj() @ g_matrix @ v).real)
 
 
-def _two_qubit_grid(g_matrix, res):
-    thetas = np.linspace(0.0, np.pi / 2.0, res)
-    phis = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    states = np.stack(
-        [np.cos(tt).ravel(), (np.exp(1j * pp) * np.sin(tt)).ravel()], axis=1
-    )
-    g4 = g_matrix.reshape(2, 2, 2, 2)
-    vals = np.einsum(
-        "ai,bk,ikjl,aj,bl->ab", states.conj(), states.conj(), g4, states, states,
-        optimize=True,
-    ).real
-    angle_pairs = np.stack([tt.ravel(), pp.ravel()], axis=1)
-    return vals, angle_pairs
+def _partial_form(tensor, vecs, keep):
+    """Contract every factor not in ``keep`` with its state on both sides.
+
+    ``tensor`` is the gamble reshaped to ``dims + dims`` (row indices, then
+    column indices); the result has the kept row indices, then the kept
+    column indices.
+    """
+    m = len(vecs)
+    rows, cols = _LETTERS[:m], _LETTERS[m : 2 * m]
+    operands, parts = [tensor], [rows + cols]
+    for k in range(m):
+        if k not in keep:
+            operands += [vecs[k].conj(), vecs[k]]
+            parts += [rows[k], cols[k]]
+    out = "".join(rows[k] for k in keep) + "".join(cols[k] for k in keep)
+    return np.einsum(",".join(parts) + "->" + out, *operands)
 
 
-def _minimize_two_qubit(g_matrix, cfg):
-    vals, pairs = _two_qubit_grid(g_matrix, cfg.grid_resolution)
-    flat = vals.ravel()
-    order = np.argsort(flat, kind="stable")
-    best_val = float(flat[order[0]])
-    ia, ib = np.unravel_index(int(order[0]), vals.shape)
-    best_angles = np.concatenate([pairs[ia], pairs[ib]])
+def _newton_step(tensor, vecs, val):
+    """Newton step of the form on the product of unit spheres, or ``None``.
 
-    def objective(angles):
-        return _form_value(g_matrix, _angles_to_states(angles))
-
-    n_grid = (cfg.restarts + 1) // 2
-    starts = []
-    for r in range(min(n_grid, order.size)):
-        ia, ib = np.unravel_index(int(order[r]), vals.shape)
-        starts.append(np.concatenate([pairs[ia], pairs[ib]]))
-    rng = np.random.default_rng(cfg.seed)
-    while len(starts) < cfg.restarts:
-        starts.append(rng.uniform(0.0, np.pi, size=4))
-
-    for x0 in starts:
-        res = _nm_minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.refinement_iterations,
-                "xatol": 1e-10,
-                "fatol": 1e-13,
-            },
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_angles = np.asarray(res.x)
-    return best_val, tuple(_angles_to_states(best_angles))
+    Each factor moves to ``v_k + B_k z_k`` (renormalised), ``B_k`` an
+    orthonormal basis of the complement of ``v_k``, so phases are fixed.  To
+    second order the form is ``val + 2 Re(g^H z) + z^H A z + Re(z^T C z)``;
+    the step minimises that model and is ``None`` where its real Hessian is
+    not positive definite.
+    """
+    bases = [np.linalg.qr(v[:, None], mode="complete")[0][:, 1:] for v in vecs]
+    offs = np.cumsum([0] + [b.shape[1] for b in bases])
+    size = offs[-1]
+    g = np.zeros(size, dtype=complex)
+    a = np.zeros((size, size), dtype=complex)
+    c = np.zeros((size, size), dtype=complex)
+    for k, (vk, bk) in enumerate(zip(vecs, bases)):
+        sk = slice(offs[k], offs[k + 1])
+        gk = _partial_form(tensor, vecs, (k,))
+        g[sk] = bk.conj().T @ gk @ vk
+        a[sk, sk] = bk.conj().T @ gk @ bk - val * np.eye(bk.shape[1])
+        for j in range(k):
+            vj, bj, sj = vecs[j], bases[j], slice(offs[j], offs[j + 1])
+            r = _partial_form(tensor, vecs, (j, k))
+            a[sj, sk] = bj.conj().T @ np.einsum("abcd,b,c->ad", r, vk.conj(), vj) @ bk
+            a[sk, sj] = a[sj, sk].conj().T
+            c[sj, sk] = bj.T @ np.einsum("abcd,a,b->cd", r, vj.conj(), vk.conj()) @ bk
+            c[sk, sj] = c[sj, sk].T
+    hess = np.block([[a.real + c.real, -a.imag - c.imag], [a.imag - c.imag, a.real - c.real]])
+    lam, u = np.linalg.eigh(hess)
+    if lam[0] <= 1e-12 * (1.0 + abs(lam[-1])):
+        return None
+    x = -u @ ((u.T @ np.concatenate([g.real, g.imag])) / lam)
+    z = x[:size] + 1j * x[size:]
+    step = []
+    for k, (vk, bk) in enumerate(zip(vecs, bases)):
+        v = vk + bk @ z[offs[k] : offs[k + 1]]
+        step.append(v / np.linalg.norm(v))
+    return step
 
 
 def _minimize_alternating(g_matrix, dims, cfg):
-    """Coordinate descent: each factor update is an exact smallest-eigenvector step."""
+    """Coordinate descent: each factor update is an exact smallest-eigenvector step.
+
+    After each sweep a Newton step is taken when it lowers the form, so a
+    descent that would crawl towards its minimum converges quadratically.
+    """
     m = len(dims)
     rng = np.random.default_rng(cfg.seed)
     tensor = g_matrix.reshape(tuple(dims) + tuple(dims))
@@ -135,27 +135,13 @@ def _minimize_alternating(g_matrix, dims, cfg):
         prev = np.inf
         for _ in range(cfg.refinement_iterations):
             for j in range(m):
-                eff = tensor
-                # contract conj/state pairs of every other factor
-                letters = "abcdefgh"
-                row = list(letters[:m])
-                col = list(letters[m : 2 * m])
-                operands = [tensor]
-                sub_in = "".join(row) + "".join(col)
-                sub_parts = [sub_in]
-                for k in range(m):
-                    if k == j:
-                        continue
-                    operands.append(vecs[k].conj())
-                    sub_parts.append(row[k])
-                    operands.append(vecs[k])
-                    sub_parts.append(col[k])
-                subscripts = ",".join(sub_parts) + "->" + row[j] + col[j]
-                eff = np.einsum(subscripts, *operands, optimize=True)
-                eff = (eff + eff.conj().T) / 2.0
-                w, v = np.linalg.eigh(eff)
-                vecs[j] = v[:, 0]
+                vecs[j] = np.linalg.eigh(_partial_form(tensor, vecs, (j,)))[1][:, 0]
             val = _form_value(g_matrix, vecs)
+            step = _newton_step(tensor, vecs, val)
+            if step is not None:
+                step_val = _form_value(g_matrix, step)
+                if step_val < val:
+                    vecs, val = step, step_val
             if abs(prev - val) <= 1e-13 * (1.0 + abs(val)):
                 break
             prev = val
@@ -169,14 +155,12 @@ def product_state_minimum(g: Gamble, cfg: ProductStateSearchConfig | None = None
     """Smallest sampled value of the quadratic form over product states.
 
     Returns ``(value, argmin)``; the value upper-bounds the true minimum.
-    Two qubits get the documented grid-plus-Nelder-Mead search, other factor
-    structures a seeded alternating eigenvector descent.
+    A single factor is solved exactly by its smallest eigenpair; several
+    factors get a seeded alternating eigenvector descent with restarts.
     """
     cfg = cfg or ProductStateSearchConfig()
     if any(d < 2 for d in g.dims):
         raise DimensionMismatchError("every factor must have dimension at least 2")
-    if g.dims == (2, 2):
-        return _minimize_two_qubit(g.matrix, cfg)
     if len(g.dims) < 2:
         eig = linalg.hermitian_eigen(g.matrix)
         return float(eig.values[0]), (eig.vectors[:, 0],)

@@ -21,6 +21,9 @@ from .gambles import AssessmentSet, Gamble
 from .quantum import DensityState
 from .realsos import BiPoly, MomentMatrix10
 
+# what json-decoded input of the wrong shape or type raises on access/conversion
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
 
 def matrix_to_json(m, upper: bool = False) -> dict:
     m = np.asarray(m, dtype=complex)
@@ -40,18 +43,26 @@ def matrix_to_json(m, upper: bool = False) -> dict:
     return {"rows": rows, "cols": cols, "data": data}
 
 
+def _complex_entries(data) -> list:
+    """Finite complex numbers from a list of ``[re, im]`` pairs."""
+    try:
+        pairs = [(float(re), float(im)) for re, im in data]
+    except _MALFORMED as exc:
+        raise ValidationError(f"entries must be [re, im] number pairs: {exc}") from exc
+    if not np.all(np.isfinite(pairs)):
+        raise ValidationError("entries must be finite")
+    return [complex(re, im) for re, im in pairs]
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
-    entries = []
-    for item in data:
-        re, im = float(item[0]), float(item[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ValidationError("matrix entries must be finite")
-        entries.append(re + 1j * im)
+    if rows < 0 or cols < 0:
+        raise ValidationError(f"matrix shape must be nonnegative, got {rows}x{cols}")
+    entries = _complex_entries(data)
     if obj.get("upper"):
         if rows != cols:
             raise ValidationError("upper-triangle storage needs a square matrix")
@@ -76,13 +87,7 @@ def matrix_from_json(obj) -> np.ndarray:
 def vector_from_json(obj) -> np.ndarray:
     if isinstance(obj, dict):
         return matrix_from_json(obj).reshape(-1)
-    out = []
-    for item in obj:
-        re, im = float(item[0]), float(item[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ValidationError("vector entries must be finite")
-        out.append(re + 1j * im)
-    return np.array(out, dtype=complex)
+    return np.array(_complex_entries(obj), dtype=complex)
 
 
 def vector_to_json(v) -> list:
@@ -103,8 +108,8 @@ def assessments_to_json(a: AssessmentSet) -> dict:
 def assessments_from_json(obj) -> AssessmentSet:
     try:
         dims = tuple(int(d) for d in obj["dims"])
-        raw = obj.get("gambles", [])
-    except (KeyError, TypeError) as exc:
+        raw = list(obj.get("gambles", []))
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed assessment object: {exc}") from exc
     gambles = tuple(Gamble(matrix_from_json(g), dims) for g in raw)
     return AssessmentSet(gambles=gambles, dims=dims)
@@ -118,14 +123,17 @@ def state_from_json(obj) -> DensityState:
     try:
         dims = tuple(int(d) for d in obj["dims"])
         rho = matrix_from_json(obj["rho"])
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed state object: {exc}") from exc
     return DensityState(rho, dims)
 
 
 def gamble_from_json(obj, dims=None) -> Gamble:
     if isinstance(obj, dict) and "matrix" in obj:
-        dims = tuple(int(d) for d in obj.get("dims", dims or ()))
+        try:
+            dims = tuple(int(d) for d in obj.get("dims", dims or ()))
+        except _MALFORMED as exc:
+            raise ValidationError(f"malformed gamble dims: {exc}") from exc
         return Gamble(matrix_from_json(obj["matrix"]), dims)
     m = matrix_from_json(obj)
     if dims is None:
@@ -150,17 +158,34 @@ def charge_from_json(obj, tol: float = 1e-9) -> DiscreteCharge:
             tuple(vector_from_json(v) for v in atom) for atom in obj["atoms"]
         )
         weights = np.array([float(w) for w in obj["weights"]])
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed charge object: {exc}") from exc
     return DiscreteCharge(atoms=atoms, weights=weights, tol=tol)
 
 
 def support_from_json(obj) -> list:
-    return [tuple(vector_from_json(v) for v in atom) for atom in obj["atoms"]]
+    try:
+        return [tuple(vector_from_json(v) for v in atom) for atom in obj["atoms"]]
+    except _MALFORMED as exc:
+        raise ValidationError(f"malformed support object: {exc}") from exc
 
 
 def poly_to_json(p: BiPoly) -> dict:
     return {"coeffs": {f"{a},{b}": v for (a, b), v in sorted(p.coeffs.items())}}
+
+
+def _exponent_table(raw, what) -> dict:
+    """``{"a,b": number}`` as ``{(a, b): float}``."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} table must be an object of 'a,b' keys")
+    out = {}
+    for key, val in raw.items():
+        try:
+            a, b = key.split(",")
+            out[(int(a), int(b))] = float(val)
+        except _MALFORMED as exc:
+            raise ValidationError(f"bad {what} entry {key!r}: {val!r}; use 'a,b': number") from exc
+    return out
 
 
 def poly_from_json(obj) -> BiPoly:
@@ -168,13 +193,7 @@ def poly_from_json(obj) -> BiPoly:
         raw = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed polynomial object: {exc}") from exc
-    coeffs = {}
-    for key, val in raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"bad exponent key {key!r}; use 'a,b'")
-        coeffs[(int(parts[0]), int(parts[1]))] = float(val)
-    return BiPoly(coeffs)
+    return BiPoly(_exponent_table(raw, "exponent"))
 
 
 def moments_to_json(z: MomentMatrix10) -> dict:
@@ -186,13 +205,7 @@ def moments_from_json(obj) -> MomentMatrix10:
         raw = obj["z"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed moment object: {exc}") from exc
-    z = {}
-    for key, val in raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"bad moment key {key!r}; use 'a,b'")
-        z[(int(parts[0]), int(parts[1]))] = float(val)
-    return MomentMatrix10(z)
+    return MomentMatrix10(_exponent_table(raw, "moment"))
 
 
 def load_json(path):

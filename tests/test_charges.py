@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_density, random_hermitian, random_unit_vector
 from pcoh import charges, gambles
-from pcoh.errors import DimensionMismatchError, ValidationError
+from pcoh.errors import DimensionMismatchError, SolverFailure, ValidationError
 from pcoh.fixtures import bell_density_matrix, bell_signed_charge_table
 from pcoh.quantum import DensityState
 
@@ -152,6 +152,40 @@ class TestNonnegFit:
         charge, residual = charges.fit_signed_charge(rho, support)
         assert residual <= 1e-9
         assert charges.nonneg_fit_feasible(rho, support, 1e-8)
+
+    def test_matches_scipy_nnls_oracle(self, bell_state):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(45)
+        for count in (16, 64, 256):
+            for seed in (1, 2, 3):
+                support = charges.random_product_support((2, 2), count, seed)
+                kets = [np.kron(x, y) for x, y in support]
+                projectors = [np.outer(v, v.conj()) for v in kets]
+                picked = rng.choice(count, size=6, replace=False)
+                weights = rng.dirichlet(np.ones(6))
+                mixture = sum(w * projectors[i] for w, i in zip(weights, picked))
+                # a different Frobenius isometry from the library's, plus the sum-to-one row
+                a = np.array(
+                    [np.concatenate([p.real.ravel(), p.imag.ravel(), [1.0]]) for p in projectors]
+                ).T
+                for rho, feasible in ((mixture, True), (bell_state.matrix, False)):
+                    b = np.concatenate([rho.real.ravel(), rho.imag.ravel(), [1.0]])
+                    w_ref, res_ref = nnls(a, b)
+                    w = charges._nnls(a, b, max_steps=50 * count)
+                    assert np.all(w >= 0.0)
+                    assert abs(np.linalg.norm(a @ w - b) - res_ref) <= 1e-10
+                    w_ref = w_ref / w_ref.sum()
+                    ref_fit = np.linalg.norm(a[:-1] @ w_ref - b[:-1]) <= 1e-4
+                    assert ref_fit == feasible
+                    got = charges.nonneg_fit_feasible(DensityState(rho, (2, 2)), support, 1e-4)
+                    assert got == feasible
+
+    def test_step_cap_raises_solver_failure(self):
+        # two positive weights need two least-squares solves
+        with pytest.raises(SolverFailure):
+            charges._nnls(np.eye(2), np.ones(2), max_steps=1)
+        assert np.array_equal(charges._nnls(np.eye(2), np.ones(2), max_steps=2), np.ones(2))
 
 
 class TestSignedConsequence:

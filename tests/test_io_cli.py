@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_hermitian
+import pcoh
 from pcoh import cli, io
 from pcoh.charges import bell_charge_fixture
 from pcoh.errors import ValidationError
@@ -33,6 +37,10 @@ class TestMatrixJson:
             io.matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
         with pytest.raises(ValidationError):
             io.matrix_from_json({"rows": 2, "cols": 2, "data": [[np.inf, 0.0]] * 4})
+        with pytest.raises(ValidationError):
+            io.matrix_from_json({"rows": 2, "cols": 2, "data": [1, 2, 3, 4]})
+        with pytest.raises(ValidationError):
+            io.vector_from_json([[1.0, 0.0], [2.0, 0.0, 0.0]])
 
     def test_vector_round_trip(self):
         v = np.array([1.0 + 2.0j, -0.5])
@@ -67,6 +75,15 @@ class TestDomainJson:
         z = entangled_moment_fixture()
         backz = io.moments_from_json(io.moments_to_json(z))
         assert backz.z == z.z
+
+    def test_rejects_bad_exponent_keys(self):
+        for key in ("x,1", "1,2,3", "1"):
+            with pytest.raises(ValidationError):
+                io.poly_from_json({"coeffs": {key: 1.0}})
+            with pytest.raises(ValidationError):
+                io.moments_from_json({"z": {key: 1.0}})
+        with pytest.raises(ValidationError):
+            io.poly_from_json({"coeffs": {"1,1": "one"}})
 
 
 @pytest.fixture
@@ -284,6 +301,26 @@ class TestCliContract:
         assert cli.main(["witness", "-i", str(bad)]) == 2
         assert cli.main(["coherence", "-i", str(tmp_path / "missing.json")]) == 2
 
+    def test_exit_code_on_malformed_json(self, workdir, tmp_path):
+        bad = str(tmp_path / "bad.json")
+        identity = [[1, 0], [0, 0], [0, 0], [1, 0]]
+        cases = [
+            (["coherence", "-i", bad],
+             {"dims": [2], "gambles": [{"rows": 2, "cols": 2, "data": [1, 2, 3, 4]}]}),
+            (["sos", "-i", bad], {"coeffs": {"x,1": 1}}),
+            (["coherence", "-i", bad], {"dims": ["x"], "gambles": []}),
+            (["coherence", "-i", bad], {"dims": [2], "gambles": 5}),
+            (["coherence", "-i", bad],
+             {"dims": [2], "gambles": [{"rows": -2, "cols": -2, "data": identity}]}),
+            (["prevision", "-i", str(workdir / "vacuous.json"), "--gamble", bad],
+             {"dims": "ab", "matrix": {"rows": 4, "cols": 4, "data": [[0, 0]] * 16}}),
+            (["charge", "-i", str(workdir / "bell.json"), "--support", bad], {"foo": 1}),
+        ]
+        for argv, blob in cases:
+            with open(bad, "w", encoding="utf-8") as fh:
+                json.dump(blob, fh)
+            assert cli.main(argv) == 2, blob
+
     def test_exit_code_on_oversized_epsilon(self, workdir):
         assert cli.main(["witness", "-i", str(workdir / "bell.json"), "--epsilon", "2.0"]) == 2
 
@@ -309,3 +346,13 @@ class TestCliContract:
             capsys, ["charge", "-i", str(workdir / "bell.json"), "--random", "4", "--seed", "11"]
         )
         assert rep["seed"] == 11
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency; the command must start without it
+        src = os.path.dirname(os.path.dirname(pcoh.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, pcoh.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
