@@ -18,6 +18,8 @@ from .quantum import DensityState
 
 _UNIT_TOL = 1e-10
 _IMAG_TOL = 1e-12
+# tolerance of the eigenvalue re-checks on solver output (states, Dutch books)
+_CERT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,9 @@ class Gamble:
 
     def __post_init__(self):
         mat = linalg.as_hermitian(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
+        if not tuple(self.dims):
             raise ValidationError("gamble needs at least one factor dimension")
-        if int(np.prod(dims)) != mat.shape[0]:
-            raise DimensionMismatchError(
-                f"dims {dims} do not multiply to matrix dimension {mat.shape[0]}"
-            )
+        dims = linalg.factor_dims(self.dims, mat.shape[0])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
@@ -61,7 +59,7 @@ class AssessmentSet:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = linalg.factor_dims(self.dims)
         if not dims:
             raise ValidationError("assessment set needs factor dimensions")
         gambles = tuple(self.gambles)
@@ -180,7 +178,12 @@ def is_p_coherent(a: AssessmentSet, tol=None) -> CoherenceVerdict:
 
 
 def _minimal_dutch_book(a: AssessmentSet, tol=None):
-    """Multipliers of least total stake realising -I = sum lam_i G_i + PSD."""
+    """Multipliers of least total stake realising -I = sum lam_i G_i + PSD.
+
+    The solver's multipliers are checked again before they are returned:
+    lam >= 0 and lambda_min(-I - sum lam_i G_i) >= -1e-7 (1 + sum lam_i |G_i|),
+    the latter by an eigenvalue test independent of the solve.
+    """
     p = len(a.gambles)
     eye = np.eye(a.dim, dtype=complex)
     b = -np.ones(p)
@@ -195,7 +198,18 @@ def _minimal_dutch_book(a: AssessmentSet, tol=None):
         raise SolverFailure(
             f"certificate polish ended with status {res.status}", residuals=res.residuals
         )
-    return np.maximum(res.y, 0.0)
+    lam = np.maximum(res.y, 0.0)
+    mats = np.array(a.matrices)
+    scale = 1.0 + float(lam @ np.linalg.norm(mats, axis=(1, 2)))
+    slack_min = float(np.linalg.eigvalsh(-eye - np.tensordot(lam, mats, 1))[0])
+    lam_min = float(res.y.min())
+    if lam_min < -_CERT_TOL * scale or slack_min < -_CERT_TOL * scale:
+        raise SolverFailure(
+            "Dutch-book multipliers fail the eigenvalue re-check",
+            residuals={"multiplier_min": lam_min, "slack_min_eig": slack_min,
+                       "scale": scale, **res.residuals},
+        )
+    return lam
 
 
 def natural_extension_contains(a: AssessmentSet, f: Gamble, tol=None) -> bool:
@@ -222,6 +236,39 @@ def _prevision_lmi(a: AssessmentSet, f: Gamble, tol=None):
     )
 
 
+def _certifies_coherence(a: AssessmentSet, rho) -> bool:
+    """True when rho is, to _CERT_TOL, a state with Tr(G rho) >= 0 for every assessed G.
+
+    Such a state rules out a Dutch book: -I = sum lam_i G_i + P would give
+    -1 = sum lam_i Tr(G_i rho) + Tr(P rho) >= 0.
+    """
+    if np.linalg.eigvalsh(rho)[0] < -_CERT_TOL or abs(np.trace(rho).real - 1.0) > _CERT_TOL:
+        return False
+    mats = np.array(a.matrices)
+    values = np.einsum("kij,ji->k", mats, rho).real
+    return bool(np.all(values >= -_CERT_TOL * (1.0 + np.linalg.norm(mats, axis=(1, 2)))))
+
+
+def _solve_prevision(a: AssessmentSet, f: Gamble, tol=None):
+    """The prevision solve, on P-coherent assessments only.
+
+    The solve runs first.  When its optimising density matrix certifies
+    coherence, no coherence solve is needed; otherwise :func:`is_p_coherent`
+    decides, so an incoherent set raises ValidationError as before.
+    """
+    if f.dims != a.dims:
+        raise DimensionMismatchError("gamble dims do not match the assessment set")
+    res = _prevision_lmi(a, f, tol=tol)
+    if a.gambles and not _certifies_coherence(a, res.primal_matrix):
+        if not is_p_coherent(a, tol=tol).p_coherent:
+            raise ValidationError("previsions are defined for P-coherent assessments only")
+    if res.status != sdp.STATUS_OPTIMAL:
+        raise SolverFailure(
+            f"prevision solve ended with status {res.status}", residuals=res.residuals
+        )
+    return res
+
+
 def lower_prevision(a: AssessmentSet, f: Gamble, tol=None) -> float:
     """Supremum buying price of f against the assessments.
 
@@ -229,15 +276,7 @@ def lower_prevision(a: AssessmentSet, f: Gamble, tol=None) -> float:
     the optimising density matrix of the dual programme is recomputed as a
     strong-duality cross-check.
     """
-    if f.dims != a.dims:
-        raise DimensionMismatchError("gamble dims do not match the assessment set")
-    if a.gambles and not is_p_coherent(a, tol=tol).p_coherent:
-        raise ValidationError("previsions are defined for P-coherent assessments only")
-    res = _prevision_lmi(a, f, tol=tol)
-    if res.status != sdp.STATUS_OPTIMAL:
-        raise SolverFailure(
-            f"prevision solve ended with status {res.status}", residuals=res.residuals
-        )
+    res = _solve_prevision(a, f, tol=tol)
     gamma = float(res.y[0])
     rho = res.primal_matrix
     dual_value = float(np.trace(f.matrix @ rho).real)
@@ -256,14 +295,7 @@ def upper_prevision(a: AssessmentSet, f: Gamble, tol=None) -> float:
 
 def prevision_witness(a: AssessmentSet, f: Gamble, tol=None) -> np.ndarray:
     """Density matrix attaining the lower prevision (the dual optimiser)."""
-    if a.gambles and not is_p_coherent(a, tol=tol).p_coherent:
-        raise ValidationError("previsions are defined for P-coherent assessments only")
-    res = _prevision_lmi(a, f, tol=tol)
-    if res.status != sdp.STATUS_OPTIMAL:
-        raise SolverFailure(
-            f"prevision solve ended with status {res.status}", residuals=res.residuals
-        )
-    return res.primal_matrix
+    return _solve_prevision(a, f, tol=tol).primal_matrix
 
 
 def credal_contains(c: CredalSet, rho: DensityState, slack: float = 1e-9) -> bool:

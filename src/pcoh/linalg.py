@@ -8,6 +8,7 @@ verified before use; nothing here is meant for matrices beyond dim 64.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +39,16 @@ def as_hermitian(a, warn_tol: float = HERMITICITY_WARN_TOL) -> np.ndarray:
     h = (a + a.conj().T) / 2.0
     np.fill_diagonal(h, h.diagonal().real)
     return h
+
+
+def factor_dims(dims, n=None) -> tuple:
+    """Tensor factor dimensions as positive ints, multiplying to ``n`` when given."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
+    if n is not None and math.prod(dims) != n:
+        raise DimensionMismatchError(f"dims {dims} do not multiply to dimension {n}")
+    return dims
 
 
 def kron(a, b) -> np.ndarray:
@@ -90,10 +101,8 @@ def hermitian_eigen(h) -> EigenDecomposition:
 
 def _check_dims(h, dims):
     h = np.asarray(h, dtype=complex)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    dims = factor_dims(dims)
+    total = math.prod(dims)
     if h.shape != (total, total):
         raise DimensionMismatchError(
             f"matrix of shape {h.shape} does not match factor dims {dims}"

@@ -30,11 +30,7 @@ class DensityState:
 
     def __post_init__(self):
         mat = linalg.as_hermitian(self.matrix)
-        dims = tuple(int(d) for d in self.dims) if self.dims else (mat.shape[0],)
-        if int(np.prod(dims)) != mat.shape[0]:
-            raise DimensionMismatchError(
-                f"dims {dims} do not multiply to dimension {mat.shape[0]}"
-            )
+        dims = linalg.factor_dims(self.dims or (mat.shape[0],), mat.shape[0])
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix must have unit trace, got {tr}")

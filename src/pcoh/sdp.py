@@ -1,9 +1,11 @@
 """Small dense semidefinite feasibility and minimisation.
 
 The core is a primal-dual interior-point method (predictor-corrector, KSH
-direction, dense normal-equation solves) over block-diagonal cones of modest
-size.  Complex Hermitian data is handled through the real symmetric embedding
-``[[Re X, -Im X], [Im X, Re X]]``; slack scalars ride along as 1x1 blocks.
+direction, dense normal-equation solves) over the product of dense PSD
+blocks of modest size and one nonnegative orthant.  Complex Hermitian data is
+handled through the real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``;
+slack scalars (sign constraints, caps, inequality slacks) live in the orthant,
+which is updated elementwise.
 
 Three public entry points wrap the core:
 
@@ -60,7 +62,6 @@ class _CoreResult:
     status: str
     X: list
     y: np.ndarray
-    S: list
     primal_objective: float
     dual_objective: float
     rel_gap: float
@@ -86,22 +87,36 @@ def _binner(p, q):
 
 
 def _bnorm(p):
-    return float(np.sqrt(sum(float((pb * pb).sum()) for pb in p)))
+    return float(np.sqrt(_binner(p, p)))
 
 
-def _max_step(x_blocks, dx_blocks):
-    """Largest alpha with X + alpha*dX staying PSD, per block, via Cholesky.
+def _step(p, alpha, d):
+    return [pb + alpha * db for pb, db in zip(p, d)]
 
-    Returns 0 when a direction is unusable (non-finite or the iterate has
-    numerically left the cone), which the main loop treats as a stall.
+
+def _finite(arrays):
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+def _max_step(x, dx):
+    """Largest alpha keeping x + alpha*dx in the cone: [X_1, ..., X_B, x_lin].
+
+    PSD blocks are tested through their Cholesky factors, the orthant by a
+    ratio test.  Returns 0 when a direction is unusable (non-finite, or the
+    iterate has numerically left its cone even after a jitter), which the main
+    loop treats as a stall.
     """
-    alpha = np.inf
-    for xb, db in zip(x_blocks, dx_blocks):
+    if not _finite(dx):
+        return 0.0
+    *blocks, xl = x
+    *dblocks, dxl = dx
+    xl = np.where(xl > 0.0, xl, xl + 1e-14)
+    if np.any(xl <= 0.0):
+        return 0.0
+    shrinking = dxl < 0.0
+    alpha = float(np.min(-xl[shrinking] / dxl[shrinking], initial=np.inf))
+    for xb, db in zip(blocks, dblocks):
         n = xb.shape[0]
-        if n == 0:
-            continue
-        if not np.all(np.isfinite(db)):
-            return 0.0
         jitter = 1e-14 * max(1.0, float(np.trace(xb)) / n)
         try:
             chol = np.linalg.cholesky(xb)
@@ -118,39 +133,42 @@ def _max_step(x_blocks, dx_blocks):
     return alpha
 
 
-def _solve_core(c_blocks, a_blocks, b, tol, max_iter=MAX_ITERATIONS):
-    """Predictor-corrector interior point on min <C,X> s.t. A(X)=b, X >= 0."""
-    m = len(b)
-    nblocks = len(c_blocks)
+def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
+    """Predictor-corrector interior point over PSD blocks and one orthant.
+
+    Solves min sum_b <C_b,X_b> + c_lin.x  s.t.  sum_b Tr(A_bk X_b) + (a_lin x)_k
+    = b_k, every X_b >= 0 and x >= 0.  ``c_psd`` lists the cost blocks, and
+    ``a_psd`` the matching (m, n_b, n_b) stacks of symmetric A_bk; ``a_lin``
+    is the (m, n_l) constraint matrix of the orthant.  Iterates are lists
+    [X_1, ..., X_B, x] with the orthant vector last.
+    """
     b = np.asarray(b, dtype=float)
-    nu = sum(cb.shape[0] for cb in c_blocks)
+    m = len(b)
+    eyes = [np.eye(cb.shape[0]) for cb in c_psd]
+    nu = sum(len(e) for e in eyes) + len(c_lin)
+    c = [*c_psd, c_lin]
+    # A_bk is symmetric, so Tr(A_bk U) = vec(A_bk) . vec(U) for any U
+    flat = [ab.reshape(m, cb.size) for ab, cb in zip(a_psd, c_psd)] + [a_lin]
 
-    # per-block stack of constraint matrices, shape (m, nb, nb)
-    stacked = [
-        np.stack([a_blocks[k][ib] for k in range(m)]) if m else np.zeros((0,) + c_blocks[ib].shape)
-        for ib in range(nblocks)
-    ]
-
-    def apply_a(xb):
-        out = np.zeros(m)
-        for ib in range(nblocks):
-            out += np.einsum("kab,ba->k", stacked[ib], xb[ib])
-        return out
+    def apply_a(u):
+        return sum(f @ ub.ravel() for f, ub in zip(flat, u))
 
     def apply_at(yv):
-        return [np.einsum("k,kab->ab", yv, stacked[ib]) for ib in range(nblocks)]
+        return [(yv @ f).reshape(cb.shape) for f, cb in zip(flat, c)]
 
-    norm_c = _bnorm(c_blocks)
+    def symmetrised(p):
+        return [_sym(pb) for pb in p[:-1]] + [p[-1]]
+
+    norm_c = _bnorm(c)
     norm_b = float(np.linalg.norm(b))
-    a_norms = np.array([_bnorm(ak) for ak in a_blocks]) if m else np.zeros(0)
+    a_norms = np.sqrt(sum((f * f).sum(axis=1) for f in flat))
 
-    scale_p = max(10.0, np.sqrt(nu))
-    if m:
-        scale_p = max(scale_p, float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms))) * np.sqrt(nu))
-    scale_d = max(10.0, np.sqrt(nu), norm_c, float(a_norms.max()) if m else 0.0)
+    ratio = float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms), initial=0.0))
+    scale_p = max(10.0, np.sqrt(nu), ratio * np.sqrt(nu))
+    scale_d = max(10.0, np.sqrt(nu), norm_c, float(a_norms.max(initial=0.0)))
 
-    x = [scale_p * np.eye(cb.shape[0]) for cb in c_blocks]
-    s = [scale_d * np.eye(cb.shape[0]) for cb in c_blocks]
+    x = [scale_p * e for e in eyes] + [np.full(len(c_lin), scale_p)]
+    s = [scale_d * e for e in eyes] + [np.full(len(c_lin), scale_d)]
     y = np.zeros(m)
 
     best = None
@@ -160,8 +178,8 @@ def _solve_core(c_blocks, a_blocks, b, tol, max_iter=MAX_ITERATIONS):
         mu = gap / nu
         r_p = b - apply_a(x)
         at_y = apply_at(y)
-        r_d = [cb - sb - ab for cb, sb, ab in zip(c_blocks, s, at_y)]
-        pobj = _binner(c_blocks, x)
+        r_d = [cb - sb - ab for cb, sb, ab in zip(c, s, at_y)]
+        pobj = _binner(c, x)
         dobj = float(b @ y)
 
         pinf = float(np.linalg.norm(r_p)) / (1.0 + norm_b)
@@ -169,86 +187,81 @@ def _solve_core(c_blocks, a_blocks, b, tol, max_iter=MAX_ITERATIONS):
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         worst = max(pinf, dinf, rel_gap)
 
+        # iterates are rebound, never written in place, so no copies
+        state = (x[:-1], y, pobj, dobj, rel_gap, pinf, dinf, it)
         if best is None or worst < best[0]:
-            best = (worst, [xb.copy() for xb in x], y.copy(), [sb.copy() for sb in s],
-                    pobj, dobj, rel_gap, pinf, dinf, it)
+            best = (worst, state)
 
         if worst <= tol:
-            return _CoreResult(STATUS_OPTIMAL, x, y, s, pobj, dobj, rel_gap, pinf, dinf, it)
+            return _CoreResult(STATUS_OPTIMAL, *state)
 
         # ray-based infeasibility heuristics
         if dobj > 0.0 and np.linalg.norm(y) > 1e4:
             hom = _bnorm([sb + ab for sb, ab in zip(s, at_y)])
             if dobj / max(hom, 1e-300) > _RAY_RATIO:
-                return _CoreResult(STATUS_INFEASIBLE, x, y, s, pobj, dobj, rel_gap, pinf, dinf, it)
+                return _CoreResult(STATUS_INFEASIBLE, *state)
         if pobj < 0.0 and _bnorm(x) > 1e4 * scale_p:
             hom = float(np.linalg.norm(apply_a(x)))
             if -pobj / max(hom, 1e-300) > _RAY_RATIO:
-                return _CoreResult(STATUS_UNBOUNDED, x, y, s, pobj, dobj, rel_gap, pinf, dinf, it)
+                return _CoreResult(STATUS_UNBOUNDED, *state)
 
-        s_inv = []
-        for sb in s:
-            n = sb.shape[0]
+        *xm, xl = x
+        *sm, sl = s
+        sm_inv = []
+        for sb, e in zip(sm, eyes):
             try:
-                s_inv.append(np.linalg.inv(sb))
+                sm_inv.append(np.linalg.inv(sb))
             except np.linalg.LinAlgError:
-                s_inv.append(np.linalg.inv(sb + 1e-14 * np.eye(n)))
+                sm_inv.append(np.linalg.inv(sb + 1e-14 * e))
+        sl_inv = 1.0 / np.where(sl != 0.0, sl, 1e-14)
 
-        # Schur complement M[j,k] = sum_b Tr(A_j X A_k S^-1)
-        big_m = np.zeros((m, m))
-        for ib in range(nblocks):
-            t_stack = np.einsum("ij,kjl,lm->kim", x[ib], stacked[ib], s_inv[ib], optimize=True)
-            big_m += np.einsum("jab,kba->jk", stacked[ib], t_stack, optimize=True)
+        # Schur complement M[j,k] = sum_b Tr(A_bj X_b A_bk S_b^-1) + sum_i a_ji (x_i/s_i) a_ki
+        big_m = (a_lin * (xl * sl_inv)) @ a_lin.T
+        for f, xb, ab, si in zip(flat, xm, a_psd, sm_inv):
+            big_m += f @ (xb @ ab @ si).reshape(m, xb.size).T
 
-        def newton(k_blocks):
-            """Solve for (dx, dy, ds) with dX S + X dS = K linearised."""
-            rhs = r_p.copy()
-            for ib in range(nblocks):
-                u = (k_blocks[ib] - x[ib] @ r_d[ib]) @ s_inv[ib]
-                rhs -= np.einsum("jab,ba->j", stacked[ib], u)
+        def newton(k):
+            """Solve for the step with dX S + X dS = K per block, dx s + x ds = k."""
+            u = [(kb - xb @ rb) @ si for kb, xb, rb, si in zip(k, xm, r_d, sm_inv)]
+            rhs = r_p - apply_a(u + [(k[-1] - xl * r_d[-1]) * sl_inv])
             try:
                 dy = np.linalg.solve(big_m, rhs)
             except np.linalg.LinAlgError:
                 reg = 1e-12 * max(1.0, float(np.abs(big_m).max()))
                 dy = np.linalg.solve(big_m + reg * np.eye(m), rhs)
-            ds_at = apply_at(dy)
-            ds = [r_d[ib] - ds_at[ib] for ib in range(nblocks)]
-            dx = [_sym((k_blocks[ib] - x[ib] @ ds[ib]) @ s_inv[ib]) for ib in range(nblocks)]
-            return dx, dy, ds
+            ds = [rb - ab for rb, ab in zip(r_d, apply_at(dy))]
+            dx = [_sym((kb - xb @ db) @ si) for kb, xb, db, si in zip(k, xm, ds, sm_inv)]
+            return dx + [(k[-1] - xl * ds[-1]) * sl_inv], dy, ds
 
         # predictor (affine scaling)
-        k_aff = [-(x[ib] @ s[ib]) for ib in range(nblocks)]
-        dx_a, dy_a, ds_a = newton(k_aff)
-        if not (np.all(np.isfinite(dy_a)) and all(np.all(np.isfinite(d)) for d in dx_a)):
+        dx_a, dy_a, ds_a = newton([-(xb @ sb) for xb, sb in zip(xm, sm)] + [-(xl * sl)])
+        if not _finite([dy_a, *dx_a]):
             break
         ap_a = min(1.0, _max_step(x, dx_a))
         ad_a = min(1.0, _max_step(s, ds_a))
-        gap_aff = _binner(
-            [x[ib] + ap_a * dx_a[ib] for ib in range(nblocks)],
-            [s[ib] + ad_a * ds_a[ib] for ib in range(nblocks)],
-        )
+        gap_aff = _binner(_step(x, ap_a, dx_a), _step(s, ad_a, ds_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3) if gap > 0 else 0.1
 
         # corrector with second-order term
         k_cor = [
-            sigma * mu * np.eye(x[ib].shape[0]) - x[ib] @ s[ib] - dx_a[ib] @ ds_a[ib]
-            for ib in range(nblocks)
+            sigma * mu * e - xb @ sb - db @ eb
+            for e, xb, sb, db, eb in zip(eyes, xm, sm, dx_a, ds_a)
         ]
-        dx, dy, ds = newton(k_cor)
-        if not (np.all(np.isfinite(dy)) and all(np.all(np.isfinite(d)) for d in dx)):
+        dx, dy, ds = newton(k_cor + [sigma * mu - xl * sl - dx_a[-1] * ds_a[-1]])
+        if not _finite([dy, *dx]):
             break
         alpha_p = min(1.0, _STEP_FRACTION * _max_step(x, dx))
         alpha_d = min(1.0, _STEP_FRACTION * _max_step(s, ds))
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             break
 
-        x = [_sym(x[ib] + alpha_p * dx[ib]) for ib in range(nblocks)]
-        s = [_sym(s[ib] + alpha_d * ds[ib]) for ib in range(nblocks)]
+        x = symmetrised(_step(x, alpha_p, dx))
+        s = symmetrised(_step(s, alpha_d, ds))
         y = y + alpha_d * dy
 
-    worst, bx, by, bs, pobj, dobj, rel_gap, pinf, dinf, bit = best
+    worst, state = best
     status = STATUS_OPTIMAL if worst <= _ACCEPTABLE_RESIDUAL else STATUS_NUMERICAL_FAILURE
-    return _CoreResult(status, bx, by, bs, pobj, dobj, rel_gap, pinf, dinf, bit)
+    return _CoreResult(status, *state)
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +269,26 @@ def _solve_core(c_blocks, a_blocks, b, tol, max_iter=MAX_ITERATIONS):
 # ---------------------------------------------------------------------------
 
 
-def _embed(h):
-    h = np.asarray(h, dtype=complex)
-    re, im = h.real.copy(), h.imag.copy()
-    return np.block([[re, -im], [im, re]])
+def _lift(c, mats):
+    """Real symmetric cost block and (m, N, N) constraint stack from Hermitian data.
+
+    Complex data goes through the embedding (N = 2n, ``embedded`` true); real
+    data stays as it is (N = n).
+    """
+    stack = np.array([c, *mats], dtype=complex)
+    embedded = bool(np.any(stack.imag != 0.0))
+    if embedded:
+        re, im = stack.real, stack.imag
+        stack = np.concatenate([np.concatenate([re, -im], 2), np.concatenate([im, re], 2)], 1)
+    else:
+        stack = stack.real.copy()
+    return stack[0], stack[1:], embedded
 
 
 def _unembed(mr, n):
     re = (mr[:n, :n] + mr[n:, n:]) / 2.0
     im = (mr[n:, :n] - mr[:n, n:]) / 2.0
     return as_hermitian(re + 1j * im, warn_tol=np.inf)
-
-
-def _needs_embedding(mats):
-    return any(np.abs(np.asarray(m, dtype=complex).imag).max(initial=0.0) > 0.0 for m in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +334,21 @@ class SdpSolution:
 
 
 def psd_minimize(problem: AffinePsdProblem, tol: Optional[float] = None) -> SdpSolution:
-    """Solve an :class:`AffinePsdProblem`; inequalities get 1x1 slack blocks."""
+    """Solve an :class:`AffinePsdProblem`; inequalities get orthant slacks."""
     tol = solver_tolerance(tol)
     n = problem.dim
     eqs = problem.equality_constraints
     ineqs = problem.inequality_constraints
-    mats = [problem.objective] + [a for a, _ in eqs] + [a for a, _ in ineqs]
-    embed = _needs_embedding(mats)
-    lift = _embed if embed else (lambda mm: np.asarray(mm).real.astype(float))
+    rows = eqs + ineqs
+    c_psd, a_psd, embed = _lift(problem.objective, [a for a, _ in rows])
     bscale = 2.0 if embed else 1.0
 
-    nslack = len(ineqs)
-    zero_slacks = [np.zeros((1, 1)) for _ in range(nslack)]
-    c_blocks = [lift(problem.objective)] + zero_slacks
+    # Tr(B_j X) - x_j = c_j with slack x_j >= 0
+    a_lin = np.zeros((len(rows), len(ineqs)))
+    a_lin[len(eqs):] = -np.eye(len(ineqs))
+    b = bscale * np.array([v for _, v in rows])
 
-    a_blocks = []
-    b = []
-    for a, v in eqs:
-        a_blocks.append([lift(a)] + [np.zeros((1, 1)) for _ in range(nslack)])
-        b.append(bscale * v)
-    for j, (a, v) in enumerate(ineqs):
-        slacks = [np.zeros((1, 1)) for _ in range(nslack)]
-        slacks[j] = np.array([[-1.0]])
-        a_blocks.append([lift(a)] + slacks)
-        b.append(bscale * v)
-
-    res = _solve_core(c_blocks, a_blocks, b, tol)
+    res = _solve_core([c_psd], [a_psd], np.zeros(len(ineqs)), a_lin, b, tol)
     if res.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
         return SdpSolution(res.status, None, float("nan"), res.y, res.residual_dict())
 
@@ -372,7 +380,7 @@ def psd_minimize(problem: AffinePsdProblem, tol: Optional[float] = None) -> SdpS
 
 
 # ---------------------------------------------------------------------------
-# LMI form: max b.y  s.t.  C - sum_k y_k A_k >= 0 (+ sign / cap side blocks)
+# LMI form: max b.y  s.t.  C - sum_k y_k A_k >= 0 (+ sign / cap constraints)
 # ---------------------------------------------------------------------------
 
 
@@ -407,29 +415,24 @@ def maximize_lmi(
     m = len(b)
     if len(a_main) != m:
         raise DimensionMismatchError("one main-block coefficient required per variable")
-    n = np.asarray(c_main).shape[0]
-    mats = [c_main] + list(a_main)
-    embed = _needs_embedding(mats)
-    lift = _embed if embed else (lambda mm: np.asarray(mm).real.astype(float))
+    c_main = as_hermitian(c_main)
+    a_main = [as_hermitian(a) for a in a_main]
+    if any(a.shape != c_main.shape for a in a_main):
+        raise DimensionMismatchError("main-block coefficients must match c_main's shape")
+    n = c_main.shape[0]
+    c_psd, a_psd, embed = _lift(c_main, a_main)
 
-    side = [np.zeros((1, 1)) for _ in range(len(nonneg) + len(caps))]
-    c_blocks = [lift(as_hermitian(c_main))] + side[: len(nonneg)] + [
-        np.array([[float(ub)]]) for _, ub in caps
-    ]
-    a_blocks = []
-    for k in range(m):
-        blocks = [lift(as_hermitian(a_main[k]))]
-        for idx in nonneg:
-            blocks.append(np.array([[-1.0]]) if idx == k else np.zeros((1, 1)))
-        for idx, _ in caps:
-            blocks.append(np.array([[1.0]]) if idx == k else np.zeros((1, 1)))
-        a_blocks.append(blocks)
+    # orthant slacks: y_k for y_k >= 0, ub - y_k for y_k <= ub
+    a_lin = np.zeros((m, len(nonneg) + len(caps)))
+    for j, idx in enumerate(nonneg):
+        a_lin[idx, j] = -1.0
+    for j, (idx, _) in enumerate(caps, start=len(nonneg)):
+        a_lin[idx, j] = 1.0
+    c_lin = np.array([0.0] * len(nonneg) + [float(ub) for _, ub in caps])
 
-    res = _solve_core(c_blocks, a_blocks, b, tol)
+    res = _solve_core([c_psd], [a_psd], c_lin, a_lin, b, tol)
     scale = 2.0 if embed else 1.0
-    primal = None
-    if res.X is not None:
-        primal = scale * (_unembed(res.X[0], n) if embed else as_hermitian(res.X[0], warn_tol=np.inf))
+    primal = scale * (_unembed(res.X[0], n) if embed else as_hermitian(res.X[0], warn_tol=np.inf))
     return LmiResult(
         status=res.status,
         y=res.y,
@@ -468,9 +471,6 @@ def feasibility_margin(
     f0 = as_hermitian(f0)
     fs = [as_hermitian(f) for f in fs]
     n = f0.shape[0]
-    for f in fs:
-        if f.shape[0] != n:
-            raise DimensionMismatchError("all feasibility matrices must share one dimension")
     p = len(fs)
     b = np.zeros(1 + p)
     b[0] = 1.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
-from pcoh import gambles, linalg
-from pcoh.errors import DimensionMismatchError, ValidationError
+from pcoh import gambles, linalg, sdp
+from pcoh.errors import DimensionMismatchError, SolverFailure, ValidationError
 from pcoh.fixtures import bell_density_matrix
 from pcoh.quantum import DensityState
 
@@ -109,6 +109,37 @@ class TestCoherence:
     def test_vacuous_is_coherent(self):
         assert gambles.is_p_coherent(gambles.AssessmentSet.vacuous((2, 2))).p_coherent
 
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda y: y * 0.5,  # too small a stake: -I - sum lam G is no longer PSD
+            lambda y: np.r_[y[:-1], -0.3],  # a negative stake on the unused last gamble
+        ],
+        ids=["shrunk", "negative"],
+    )
+    def test_dutch_book_recheck_rejects_perturbed_multipliers(self, monkeypatch, perturb):
+        rng = np.random.default_rng(12)
+        mats = [random_hermitian(rng, 4) for _ in range(3)]
+        # -I - sum_i lam_i G_i = P >= 0 for the third gamble, so the set is incoherent;
+        # the identity, a sure gain, takes no stake in any Dutch book
+        last = -(np.eye(4) + 0.5 * mats[0] + 0.5 * mats[1] + 0.1 * np.eye(4)) / 0.5
+        mats = mats[:2] + [last, np.eye(4)]
+        a = gambles.AssessmentSet(tuple(gambles.Gamble(m, (2, 2)) for m in mats), (2, 2))
+        lam = gambles._minimal_dutch_book(a)
+        assert lam.min() >= 0.0
+        assert np.linalg.eigvalsh(-np.eye(4) - sum(l * m for l, m in zip(lam, mats)))[0] >= -1e-7
+
+        solve = sdp.maximize_lmi
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.y = perturb(res.y)
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", perturbed)
+        with pytest.raises(SolverFailure, match="re-check"):
+            gambles._minimal_dutch_book(a)
+
 
 class TestNaturalExtension:
     def test_identity_always_contained(self):
@@ -155,6 +186,23 @@ class TestPrevisions:
         upper = gambles.upper_prevision(bell_singleton, f)
         assert abs(lower - 1.0) <= 1e-6
         assert abs(upper - 1.0) <= 1e-6
+
+    def test_one_solve_per_prevision_on_coherent_sets(self, monkeypatch, bell_singleton):
+        core = sdp._solve_core
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "_solve_core", counting)
+        rng = np.random.default_rng(21)
+        for a in (coherent_random_assessments(rng, 4, 5, (2, 2)), bell_singleton):
+            f = gambles.Gamble(random_hermitian(rng, 4), (2, 2))
+            for call in (gambles.lower_prevision, gambles.prevision_witness):
+                calls.clear()
+                call(a, f)
+                assert len(calls) == 1, call.__name__
 
     def test_incoherent_assessments_rejected(self):
         a = gambles.AssessmentSet((gambles.Gamble(-np.eye(4), (2, 2)),), (2, 2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from pcoh import linalg, sdp
+from pcoh import gambles, linalg, sdp
 from pcoh.fixtures import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -194,6 +194,70 @@ class TestPsdFeasibility:
     def test_complex_data_embedding(self):
         lam = sdp.psd_feasibility(-SIGMA_Y, [np.eye(2)])
         assert lam is not None and lam[0] >= 1.0 - 1e-6
+
+
+class TestLinearCone:
+    def test_all_scalar_problem_matches_closed_form(self):
+        # fractional knapsack: max b.y s.t. a.y <= c, 0 <= y <= 1; greedy by
+        # b_k / a_k fills y = (1, 1, 1/2, 0) at the price b_2 / a_2 = 1.5
+        b = np.array([3.0, 2.0, 1.5, 1.0])
+        a = np.array([1.0, 1.0, 1.0, 2.0])
+        res = sdp.maximize_lmi(
+            b,
+            np.array([[2.5]]),
+            [np.array([[ak]]) for ak in a],
+            nonneg=range(4),
+            caps=[(k, 1.0) for k in range(4)],
+        )
+        assert res.status == sdp.STATUS_OPTIMAL
+        assert abs(res.value - 5.75) <= 1e-7
+        assert abs(res.primal_value - 5.75) <= 1e-7
+        assert np.allclose(res.y, [1.0, 1.0, 0.5, 0.0], atol=1e-6)
+        assert np.allclose(res.primal_matrix, [[1.5]], atol=1e-6)
+
+    def test_no_variables_tests_the_constant_block(self):
+        # max 0 s.t. C >= 0: an empty orthant and no constraint rows
+        assert sdp.maximize_lmi([], np.eye(2), []).status == sdp.STATUS_OPTIMAL
+        assert sdp.maximize_lmi([], -np.eye(2), []).status == sdp.STATUS_UNBOUNDED
+
+    def test_diagonal_assessments_match_linprog(self):
+        # classical (diagonal) gambles: Tr(G rho) only sees diag(rho), a point
+        # of the simplex, so coherence and previsions are linear programmes
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(606)
+        seen = {True: 0, False: 0}
+        for _ in range(24):
+            n = int(rng.integers(2, 5))
+            gs = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), n))
+            # max t s.t. G p >= t, p in the simplex; coherent iff t >= 0
+            lp = linprog(
+                np.r_[np.zeros(n), -1.0],
+                A_ub=np.c_[-gs, np.ones(len(gs))],
+                b_ub=np.zeros(len(gs)),
+                A_eq=np.r_[np.ones(n), 0.0][None, :],
+                b_eq=[1.0],
+                bounds=[(0, None)] * n + [(None, None)],
+            )
+            assert lp.status == 0
+            if abs(lp.fun) < 0.05:
+                continue
+            coherent = -lp.fun > 0.0
+            a = gambles.AssessmentSet(tuple(gambles.Gamble(np.diag(g), (n,)) for g in gs), (n,))
+            verdict = gambles.is_p_coherent(a)
+            assert verdict.p_coherent == coherent
+            seen[coherent] += 1
+            if not coherent:
+                lam = verdict.certificate
+                assert lam.min() >= 0.0
+                assert np.min(-1.0 - lam @ gs) >= -1e-7
+                continue
+            f = rng.uniform(-1.0, 1.0, size=n)
+            want = linprog(f, A_ub=-gs, b_ub=np.zeros(len(gs)), A_eq=np.ones((1, n)),
+                           b_eq=[1.0], bounds=[(0, None)] * n).fun
+            got = gambles.lower_prevision(a, gambles.Gamble(np.diag(f), (n,)))
+            assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
+        assert seen[True] >= 3 and seen[False] >= 3
 
 
 class TestDeterminism:
