@@ -8,6 +8,7 @@ is a credal set of density matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from . import linalg, sdp
 from .errors import DimensionMismatchError, SolverFailure, ValidationError
 from .quantum import DensityState
 
+# largest total dimension of an assessment set: the dense scope of linalg
+MAX_DIM = 64
 _UNIT_TOL = 1e-10
 _IMAG_TOL = 1e-12
 # tolerance of the eigenvalue re-checks on solver output (states, Dutch books)
@@ -62,6 +65,9 @@ class AssessmentSet:
         dims = linalg.factor_dims(self.dims)
         if not dims:
             raise ValidationError("assessment set needs factor dimensions")
+        # a vacuous set carries no matrix, so its dims alone set the solve's size
+        if math.prod(dims) > MAX_DIM:
+            raise ValidationError(f"dims {dims} multiply past the supported {MAX_DIM}")
         gambles = tuple(self.gambles)
         for g in gambles:
             if g.dims != dims:

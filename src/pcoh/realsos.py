@@ -41,6 +41,8 @@ PRODUCT_EXPONENTS = tuple(
 )
 
 _GRAM_TOL = 1e-7
+# coefficient match of a returned Gram matrix, relative to the largest coefficient
+_COEFF_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,9 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     matrix is PSD; the solve reports the best achievable smallest eigenvalue.
     When that is negative, the solver's primal block is a PSD Hankel-tied
     moment matrix whose functional is negative on the polynomial, returned as
-    the separating certificate.
+    the separating certificate.  A Gram matrix is checked again before it is
+    returned: lambda_min(Q) >= -1e-7 (1 + |Q|) and a coefficient residual of
+    at most 1e-6 (1 + max |c_i|), else :class:`SolverFailure`.
     """
     constraint_rows = np.stack([_sym_coords(_indicator(pair)) for pair in PRODUCT_EXPONENTS])
     rhs = np.array([p.coeffs.get(pair, 0.0) for pair in PRODUCT_EXPONENTS])
@@ -207,6 +211,16 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     )
 
     if margin >= -_GRAM_TOL:
+        gram_min = float(np.linalg.eigvalsh(q_star)[0])
+        if (
+            gram_min < -_GRAM_TOL * (1.0 + float(np.linalg.norm(q_star)))
+            or coeff_residual > _COEFF_TOL * (1.0 + float(np.abs(rhs).max()))
+        ):
+            raise sdp.SolverFailure(
+                "Gram certificate fails the re-check",
+                residuals={"gram_min_eig": gram_min, "coefficient_residual": coeff_residual,
+                           **res.residuals},
+            )
         gram = GramCertificate(Q=q_star, margin=margin, coefficient_residual=coeff_residual)
         return SosVerdict(True, margin, gram, None, float("nan"))
 

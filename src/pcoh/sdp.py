@@ -1,11 +1,13 @@
 """Small dense semidefinite feasibility and minimisation.
 
 The core is a primal-dual interior-point method (predictor-corrector, KSH
-direction, dense normal-equation solves) over the product of dense PSD
-blocks of modest size and one nonnegative orthant.  Complex Hermitian data is
-handled through the real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``;
-slack scalars (sign constraints, caps, inequality slacks) live in the orthant,
-which is updated elementwise.
+direction, dense normal-equation solves) over one dense PSD block of modest
+size (several go in block-diagonally) plus one nonnegative orthant.  Each
+iterate is Cholesky-factored once per iteration, and that factor serves S^-1
+and every step-length test.  Complex Hermitian data is handled through the
+real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``; slack scalars
+(sign constraints, caps, inequality slacks) live in the orthant, which is
+updated elementwise.
 
 Three public entry points wrap the core:
 
@@ -60,7 +62,7 @@ def solver_tolerance(override: Optional[float] = None) -> float:
 @dataclass
 class _CoreResult:
     status: str
-    X: list
+    X: np.ndarray
     y: np.ndarray
     primal_objective: float
     dual_objective: float
@@ -82,113 +84,110 @@ def _sym(m):
     return (m + m.T) / 2.0
 
 
-def _binner(p, q):
-    return float(sum((pb * qb).sum() for pb, qb in zip(p, q)))
+def _inner(p, q):
+    """<P,Q> + p.q for iterate pairs p = (P, p_lin) and q = (Q, q_lin)."""
+    return float((p[0] * q[0]).sum() + (p[1] * q[1]).sum())
 
 
-def _bnorm(p):
-    return float(np.sqrt(_binner(p, p)))
+def _finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
 
 
-def _step(p, alpha, d):
-    return [pb + alpha * db for pb, db in zip(p, d)]
+def _inverse_factor(p):
+    """L^-1 for the Cholesky factor L of a PSD iterate, or None if it is lost.
 
-
-def _finite(arrays):
-    return all(np.all(np.isfinite(a)) for a in arrays)
-
-
-def _max_step(x, dx):
-    """Largest alpha keeping x + alpha*dx in the cone: [X_1, ..., X_B, x_lin].
-
-    PSD blocks are tested through their Cholesky factors, the orthant by a
-    ratio test.  Returns 0 when a direction is unusable (non-finite, or the
-    iterate has numerically left its cone even after a jitter), which the main
-    loop treats as a stall.
+    A failed factorisation is retried once with a jitter of 1e-14 times the
+    mean eigenvalue (at least 1e-14).
     """
-    if not _finite(dx):
-        return 0.0
-    *blocks, xl = x
-    *dblocks, dxl = dx
-    xl = np.where(xl > 0.0, xl, xl + 1e-14)
-    if np.any(xl <= 0.0):
-        return 0.0
-    shrinking = dxl < 0.0
-    alpha = float(np.min(-xl[shrinking] / dxl[shrinking], initial=np.inf))
-    for xb, db in zip(blocks, dblocks):
-        n = xb.shape[0]
-        jitter = 1e-14 * max(1.0, float(np.trace(xb)) / n)
+    n = p.shape[0]
+    try:
+        chol = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        jitter = 1e-14 * max(1.0, float(np.trace(p)) / n)
         try:
-            chol = np.linalg.cholesky(xb)
+            chol = np.linalg.cholesky(p + jitter * np.eye(n))
         except np.linalg.LinAlgError:
-            try:
-                chol = np.linalg.cholesky(xb + jitter * np.eye(n))
-            except np.linalg.LinAlgError:
-                return 0.0
-        w = np.linalg.solve(chol, db)
-        w = np.linalg.solve(chol, w.T).T
-        lam_min = float(np.linalg.eigvalsh(_sym(w))[0])
-        if lam_min < 0.0:
-            alpha = min(alpha, -1.0 / lam_min)
-    return alpha
+            return None
+    return np.linalg.inv(chol)
+
+
+def _max_step(inv_factor, d, p_lin, d_lin):
+    """Largest alpha keeping (P + alpha*d, p_lin + alpha*d_lin) in the cone.
+
+    ``inv_factor`` is L^-1 for the Cholesky factor L of P, so the PSD bound is
+    -1/lambda_min(L^-1 d L^-T) (``eigvalsh`` reads one triangle, so rounding
+    asymmetry is harmless); the orthant bound is -1/min_i(d_i/p_i).  Returns 0
+    when the direction is not finite, P's factor was lost (``inv_factor``
+    None) or the orthant part has left its cone, which the main loop treats as
+    a stall.
+    """
+    if inv_factor is None or not _finite(d, d_lin):
+        return 0.0
+    p_lin = np.where(p_lin > 0.0, p_lin, p_lin + 1e-14)
+    if (p_lin <= 0.0).any():
+        return 0.0
+    worst = min(
+        float(np.linalg.eigvalsh(inv_factor @ d @ inv_factor.T)[0]),
+        float((d_lin / p_lin).min(initial=0.0)),
+    )
+    return -1.0 / worst if worst < 0.0 else np.inf
 
 
 def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
-    """Predictor-corrector interior point over PSD blocks and one orthant.
+    """Predictor-corrector interior point over one PSD block and one orthant.
 
-    Solves min sum_b <C_b,X_b> + c_lin.x  s.t.  sum_b Tr(A_bk X_b) + (a_lin x)_k
-    = b_k, every X_b >= 0 and x >= 0.  ``c_psd`` lists the cost blocks, and
-    ``a_psd`` the matching (m, n_b, n_b) stacks of symmetric A_bk; ``a_lin``
-    is the (m, n_l) constraint matrix of the orthant.  Iterates are lists
-    [X_1, ..., X_B, x] with the orthant vector last.
+    Solves min <C,X> + c_lin.x  s.t.  Tr(A_k X) + (a_lin x)_k = b_k, X >= 0
+    and x >= 0.  ``c_psd`` is the (n, n) cost, ``a_psd`` the (m, n, n) stack
+    of symmetric A_k and ``a_lin`` the (m, n_l) constraint matrix of the
+    orthant.  Several PSD blocks go in as one block-diagonal block: the KSH
+    direction keeps X and S block-diagonal when C and every A_k are.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
-    eyes = [np.eye(cb.shape[0]) for cb in c_psd]
-    nu = sum(len(e) for e in eyes) + len(c_lin)
-    c = [*c_psd, c_lin]
-    # A_bk is symmetric, so Tr(A_bk U) = vec(A_bk) . vec(U) for any U
-    flat = [ab.reshape(m, cb.size) for ab, cb in zip(a_psd, c_psd)] + [a_lin]
+    n = c_psd.shape[0]
+    eye = np.eye(n)
+    nu = n + len(c_lin)
+    # A_k is symmetric, so Tr(A_k U) = vec(A_k) . vec(U) for any U
+    flat = a_psd.reshape(m, n * n)
 
-    def apply_a(u):
-        return sum(f @ ub.ravel() for f, ub in zip(flat, u))
+    def apply_a(u, u_lin):
+        return flat @ u.ravel() + a_lin @ u_lin
 
     def apply_at(yv):
-        return [(yv @ f).reshape(cb.shape) for f, cb in zip(flat, c)]
+        return (yv @ flat).reshape(n, n), yv @ a_lin
 
-    def symmetrised(p):
-        return [_sym(pb) for pb in p[:-1]] + [p[-1]]
-
-    norm_c = _bnorm(c)
+    c = (c_psd, c_lin)
+    norm_c = np.sqrt(_inner(c, c))
     norm_b = float(np.linalg.norm(b))
-    a_norms = np.sqrt(sum((f * f).sum(axis=1) for f in flat))
+    a_norms = np.sqrt((flat * flat).sum(axis=1) + (a_lin * a_lin).sum(axis=1))
 
     ratio = float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms), initial=0.0))
     scale_p = max(10.0, np.sqrt(nu), ratio * np.sqrt(nu))
     scale_d = max(10.0, np.sqrt(nu), norm_c, float(a_norms.max(initial=0.0)))
 
-    x = [scale_p * e for e in eyes] + [np.full(len(c_lin), scale_p)]
-    s = [scale_d * e for e in eyes] + [np.full(len(c_lin), scale_d)]
+    X, x = scale_p * eye, np.full(len(c_lin), scale_p)
+    S, s = scale_d * eye, np.full(len(c_lin), scale_d)
     y = np.zeros(m)
 
     best = None
 
     for it in range(1, max_iter + 1):
-        gap = _binner(x, s)
+        gap = _inner((X, x), (S, s))
         mu = gap / nu
-        r_p = b - apply_a(x)
-        at_y = apply_at(y)
-        r_d = [cb - sb - ab for cb, sb, ab in zip(c, s, at_y)]
-        pobj = _binner(c, x)
+        ax = apply_a(X, x)
+        r_p = b - ax
+        at_y, atl_y = apply_at(y)
+        R, r = c_psd - S - at_y, c_lin - s - atl_y
+        pobj = _inner(c, (X, x))
         dobj = float(b @ y)
 
         pinf = float(np.linalg.norm(r_p)) / (1.0 + norm_b)
-        dinf = _bnorm(r_d) / (1.0 + norm_c)
+        dinf = np.sqrt(_inner((R, r), (R, r))) / (1.0 + norm_c)
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         worst = max(pinf, dinf, rel_gap)
 
         # iterates are rebound, never written in place, so no copies
-        state = (x[:-1], y, pobj, dobj, rel_gap, pinf, dinf, it)
+        state = (X, y, pobj, dobj, rel_gap, pinf, dinf, it)
         if best is None or worst < best[0]:
             best = (worst, state)
 
@@ -197,66 +196,63 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
 
         # ray-based infeasibility heuristics
         if dobj > 0.0 and np.linalg.norm(y) > 1e4:
-            hom = _bnorm([sb + ab for sb, ab in zip(s, at_y)])
-            if dobj / max(hom, 1e-300) > _RAY_RATIO:
+            hom = (S + at_y, s + atl_y)
+            if dobj / max(np.sqrt(_inner(hom, hom)), 1e-300) > _RAY_RATIO:
                 return _CoreResult(STATUS_INFEASIBLE, *state)
-        if pobj < 0.0 and _bnorm(x) > 1e4 * scale_p:
-            hom = float(np.linalg.norm(apply_a(x)))
+        if pobj < 0.0 and np.sqrt(_inner((X, x), (X, x))) > 1e4 * scale_p:
+            hom = float(np.linalg.norm(ax))
             if -pobj / max(hom, 1e-300) > _RAY_RATIO:
                 return _CoreResult(STATUS_UNBOUNDED, *state)
 
-        *xm, xl = x
-        *sm, sl = s
-        sm_inv = []
-        for sb, e in zip(sm, eyes):
-            try:
-                sm_inv.append(np.linalg.inv(sb))
-            except np.linalg.LinAlgError:
-                sm_inv.append(np.linalg.inv(sb + 1e-14 * e))
-        sl_inv = 1.0 / np.where(sl != 0.0, sl, 1e-14)
+        # one factorisation of each iterate serves S^-1 and all four step tests
+        inv_lx = _inverse_factor(X)
+        inv_ls = _inverse_factor(S)
+        if inv_ls is not None:
+            s_mat_inv = inv_ls.T @ inv_ls
+        else:
+            s_mat_inv = np.linalg.inv(S + 1e-14 * eye)
+        s_inv = 1.0 / np.where(s != 0.0, s, 1e-14)
 
-        # Schur complement M[j,k] = sum_b Tr(A_bj X_b A_bk S_b^-1) + sum_i a_ji (x_i/s_i) a_ki
-        big_m = (a_lin * (xl * sl_inv)) @ a_lin.T
-        for f, xb, ab, si in zip(flat, xm, a_psd, sm_inv):
-            big_m += f @ (xb @ ab @ si).reshape(m, xb.size).T
+        # Schur complement M[j,k] = Tr(A_j X A_k S^-1) + sum_i a_ji (x_i/s_i) a_ki
+        big_m = (a_lin * (x * s_inv)) @ a_lin.T
+        big_m += flat @ (X @ a_psd @ s_mat_inv).reshape(m, n * n).T
 
-        def newton(k):
-            """Solve for the step with dX S + X dS = K per block, dx s + x ds = k."""
-            u = [(kb - xb @ rb) @ si for kb, xb, rb, si in zip(k, xm, r_d, sm_inv)]
-            rhs = r_p - apply_a(u + [(k[-1] - xl * r_d[-1]) * sl_inv])
+        def newton(k_mat, k_lin):
+            """Solve for the step with dX S + X dS = K and dx s + x ds = k."""
+            u = (k_mat - X @ R) @ s_mat_inv
+            rhs = r_p - apply_a(u, (k_lin - x * r) * s_inv)
             try:
                 dy = np.linalg.solve(big_m, rhs)
             except np.linalg.LinAlgError:
                 reg = 1e-12 * max(1.0, float(np.abs(big_m).max()))
                 dy = np.linalg.solve(big_m + reg * np.eye(m), rhs)
-            ds = [rb - ab for rb, ab in zip(r_d, apply_at(dy))]
-            dx = [_sym((kb - xb @ db) @ si) for kb, xb, db, si in zip(k, xm, ds, sm_inv)]
-            return dx + [(k[-1] - xl * ds[-1]) * sl_inv], dy, ds
+            at_dy, atl_dy = apply_at(dy)
+            dS, ds = R - at_dy, r - atl_dy
+            dX = _sym((k_mat - X @ dS) @ s_mat_inv)
+            return dX, (k_lin - x * ds) * s_inv, dy, dS, ds
 
         # predictor (affine scaling)
-        dx_a, dy_a, ds_a = newton([-(xb @ sb) for xb, sb in zip(xm, sm)] + [-(xl * sl)])
-        if not _finite([dy_a, *dx_a]):
+        dX_a, dx_a, dy_a, dS_a, ds_a = newton(-(X @ S), -(x * s))
+        if not _finite(dy_a, dX_a, dx_a):
             break
-        ap_a = min(1.0, _max_step(x, dx_a))
-        ad_a = min(1.0, _max_step(s, ds_a))
-        gap_aff = _binner(_step(x, ap_a, dx_a), _step(s, ad_a, ds_a))
+        ap_a = min(1.0, _max_step(inv_lx, dX_a, x, dx_a))
+        ad_a = min(1.0, _max_step(inv_ls, dS_a, s, ds_a))
+        gap_aff = _inner((X + ap_a * dX_a, x + ap_a * dx_a), (S + ad_a * dS_a, s + ad_a * ds_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3) if gap > 0 else 0.1
 
         # corrector with second-order term
-        k_cor = [
-            sigma * mu * e - xb @ sb - db @ eb
-            for e, xb, sb, db, eb in zip(eyes, xm, sm, dx_a, ds_a)
-        ]
-        dx, dy, ds = newton(k_cor + [sigma * mu - xl * sl - dx_a[-1] * ds_a[-1]])
-        if not _finite([dy, *dx]):
+        dX, dx, dy, dS, ds = newton(
+            sigma * mu * eye - X @ S - dX_a @ dS_a, sigma * mu - x * s - dx_a * ds_a
+        )
+        if not _finite(dy, dX, dx):
             break
-        alpha_p = min(1.0, _STEP_FRACTION * _max_step(x, dx))
-        alpha_d = min(1.0, _STEP_FRACTION * _max_step(s, ds))
+        alpha_p = min(1.0, _STEP_FRACTION * _max_step(inv_lx, dX, x, dx))
+        alpha_d = min(1.0, _STEP_FRACTION * _max_step(inv_ls, dS, s, ds))
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             break
 
-        x = symmetrised(_step(x, alpha_p, dx))
-        s = symmetrised(_step(s, alpha_d, ds))
+        X, x = _sym(X + alpha_p * dX), x + alpha_p * dx
+        S, s = _sym(S + alpha_d * dS), s + alpha_d * ds
         y = y + alpha_d * dy
 
     worst, state = best
@@ -348,11 +344,11 @@ def psd_minimize(problem: AffinePsdProblem, tol: Optional[float] = None) -> SdpS
     a_lin[len(eqs):] = -np.eye(len(ineqs))
     b = bscale * np.array([v for _, v in rows])
 
-    res = _solve_core([c_psd], [a_psd], np.zeros(len(ineqs)), a_lin, b, tol)
+    res = _solve_core(c_psd, a_psd, np.zeros(len(ineqs)), a_lin, b, tol)
     if res.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
         return SdpSolution(res.status, None, float("nan"), res.y, res.residual_dict())
 
-    xmat = _unembed(res.X[0], n) if embed else as_hermitian(res.X[0], warn_tol=np.inf)
+    xmat = _unembed(res.X, n) if embed else as_hermitian(res.X, warn_tol=np.inf)
     value = res.primal_objective / bscale
     eig_min = float(np.linalg.eigvalsh(xmat)[0])
     eq_res = max(
@@ -430,9 +426,9 @@ def maximize_lmi(
         a_lin[idx, j] = 1.0
     c_lin = np.array([0.0] * len(nonneg) + [float(ub) for _, ub in caps])
 
-    res = _solve_core([c_psd], [a_psd], c_lin, a_lin, b, tol)
+    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol)
     scale = 2.0 if embed else 1.0
-    primal = scale * (_unembed(res.X[0], n) if embed else as_hermitian(res.X[0], warn_tol=np.inf))
+    primal = scale * (_unembed(res.X, n) if embed else as_hermitian(res.X, warn_tol=np.inf))
     return LmiResult(
         status=res.status,
         y=res.y,
@@ -469,12 +465,12 @@ def feasibility_margin(
     whenever the margin is negative.
     """
     f0 = as_hermitian(f0)
-    fs = [as_hermitian(f) for f in fs]
     n = f0.shape[0]
     p = len(fs)
     b = np.zeros(1 + p)
     b[0] = 1.0
-    a_main = [np.eye(n, dtype=complex)] + [-f for f in fs]
+    # maximize_lmi validates and symmetrises each coefficient
+    a_main = [np.eye(n, dtype=complex)] + [-np.asarray(f, dtype=complex) for f in fs]
     res = maximize_lmi(
         b,
         f0,

@@ -77,6 +77,15 @@ class TestGambleEval:
             assert abs(got - quadratic_form_by_hand(g.matrix, x, y)) <= 1e-12
 
 
+class TestAssessmentScope:
+    def test_dims_past_the_dense_scope_are_rejected(self):
+        # a vacuous set has no matrix, so only its dims bound the solve
+        for dims in [(65,), (5, 13), (1000000,), (2**70,)]:
+            with pytest.raises(ValidationError):
+                gambles.AssessmentSet.vacuous(dims)
+        assert gambles.AssessmentSet.vacuous((8, 8)).dim == gambles.MAX_DIM
+
+
 class TestCoherence:
     def test_identity_alone_is_coherent(self):
         a = gambles.AssessmentSet((gambles.Gamble(np.eye(4), (2, 2)),), (2, 2))

@@ -34,8 +34,7 @@ numbers = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.integers(-(2**70), 2**70)
 )
-# anywhere else a number may land in a dims list, and a vacuous assessment set
-# of large dims is a valid (huge) problem, not malformed input: keep them small
+# anywhere else a number may land; large dims are drawn by ``dims`` below
 leaves = (
     st.none()
     | st.booleans()
@@ -91,7 +90,8 @@ def solvable(draw):
     return {"dims": dims, "rho": {"rows": n, "cols": n, "data": diag}}
 
 
-dims = st.lists(st.integers(-1, 4), min_size=0, max_size=3) | anything
+# a vacuous assessment set of large dims must be refused, not solved
+dims = st.lists(st.integers(-1, 4) | st.integers(5, 2**70), min_size=0, max_size=3) | anything
 matrix = matrices() | anything
 vectors = st.lists(pairs, max_size=4) | matrix
 exponent_tables = st.dictionaries(
@@ -167,6 +167,10 @@ def _argv(command, path, other):
 # factor dims below 1 once reached the solver and died there
 @example(command="coherence", doc={"dims": [0], "gambles": []}, other=None)
 @example(command="coherence", doc={"dims": [-1], "gambles": []}, other=None)
+# dims past the dense scope once went on to allocate the solve and died there
+@example(command="coherence", doc={"dims": [1000000], "gambles": []}, other=None)
+@example(command="coherence", doc={"dims": [2**70], "gambles": []}, other=None)
+@example(command="prevision", doc={"dims": [5000], "gambles": []}, other=None)
 def test_cli_exits_cleanly_on_any_json(tmp_path, command, doc, other):
     path, other_path = tmp_path / "doc.json", tmp_path / "other.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pcoh import linalg, realsos
-from pcoh.errors import ValidationError
+from pcoh import linalg, realsos, sdp
+from pcoh.errors import SolverFailure, ValidationError
 
 # the built-in entangled moment fixture, typed out entry for entry
 FIXTURE_MATRIX = np.array(
@@ -124,6 +124,44 @@ class TestSosCheck:
             assert abs(float(v @ cert.Q @ v) - p.evaluate(x1, x2)) <= 1e-6 * (
                 1.0 + abs(p.evaluate(x1, x2))
             )
+
+    @pytest.mark.parametrize(
+        "poly, perturb",
+        [
+            # a solver that reports the classic Motzkin margin as zero
+            (realsos.motzkin("classic"), lambda y: np.r_[0.0, y[1:]]),
+            # or moves the Gram matrix off the PSD cone along the null space
+            (realsos.BiPoly({(2, 0): 1.0, (0, 2): 1.0}), lambda y: np.r_[y[0], y[1:] + 1.0]),
+        ],
+        ids=["lifted-margin", "shifted-null"],
+    )
+    def test_gram_recheck_rejects_perturbed_solution(self, monkeypatch, poly, perturb):
+        solve = sdp.maximize_lmi
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.y = perturb(res.y)
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", perturbed)
+        with pytest.raises(SolverFailure, match="re-check") as info:
+            realsos.sos_check_detail(poly)
+        assert info.value.residuals["gram_min_eig"] < -1e-3
+
+    def test_gram_recheck_rejects_coefficient_mismatch(self, monkeypatch):
+        # Gram matrix I: strictly inside the cone, so only the coefficients can fail
+        p = realsos.BiPoly({(2 * a, 2 * b): 1.0 for a, b in realsos.MONOMIAL_EXPONENTS})
+        assert realsos.sos_check(p) is not None
+        lstsq = np.linalg.lstsq
+
+        def off_target(a, b, rcond=None):
+            x, *rest = lstsq(a, b, rcond=rcond)
+            return (x + 1e-3, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", off_target)
+        with pytest.raises(SolverFailure, match="re-check") as info:
+            realsos.sos_check_detail(p)
+        assert info.value.residuals["coefficient_residual"] > 1e-4
 
     def test_sos_implies_grid_nonnegative(self):
         rng = np.random.default_rng(11)

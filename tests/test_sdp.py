@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian
 from pcoh import gambles, linalg, sdp
+from pcoh.errors import DimensionMismatchError, ValidationError
 from pcoh.fixtures import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -258,6 +261,117 @@ class TestLinearCone:
             got = gambles.lower_prevision(a, gambles.Gamble(np.diag(f), (n,)))
             assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
         assert seen[True] >= 3 and seen[False] >= 3
+
+
+class TestCore:
+    def test_max_step_stops_at_the_cone_boundary(self):
+        rng = np.random.default_rng(707)
+        finite = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            g = rng.standard_normal((n, n))
+            x = g @ g.T + 1e-3 * np.eye(n)
+            d = rng.standard_normal((n, n))
+            d = d + d.T
+            x_lin = rng.uniform(0.1, 2.0, size=int(rng.integers(0, 4)))
+            d_lin = rng.standard_normal(len(x_lin))
+            if rng.random() < 0.2:
+                # a direction that never leaves the cone
+                d, d_lin = d @ d.T, np.abs(d_lin)
+            alpha = sdp._max_step(sdp._inverse_factor(x), d, x_lin, d_lin)
+            assert alpha > 0.0
+            if not np.isfinite(alpha):
+                assert np.linalg.eigvalsh(d)[0] >= -1e-12 and np.all(d_lin >= 0.0)
+                continue
+            finite += 1
+            inside = 0.999 * alpha
+            assert np.linalg.eigvalsh(x + inside * d)[0] >= 0.0
+            assert np.all(x_lin + inside * d_lin >= 0.0)
+            # at alpha itself one of the two cones is on its boundary
+            scale = np.linalg.norm(x) + alpha * np.linalg.norm(d) + np.abs(x_lin).sum()
+            edge = min(np.linalg.eigvalsh(x + alpha * d)[0],
+                       np.min(x_lin + alpha * d_lin, initial=np.inf))
+            assert abs(edge) <= 1e-9 * scale
+        assert finite >= 30
+
+    def test_max_step_is_zero_without_a_usable_factor(self):
+        d, x_lin, d_lin = -np.eye(3), np.ones(2), -np.ones(2)
+        assert sdp._inverse_factor(-np.eye(3)) is None
+        assert sdp._max_step(None, d, x_lin, d_lin) == 0.0
+        inv = sdp._inverse_factor(np.eye(3))
+        assert sdp._max_step(inv, np.full((3, 3), np.nan), x_lin, d_lin) == 0.0
+        assert sdp._max_step(inv, d, x_lin, np.array([-1.0, np.inf])) == 0.0
+
+    def test_two_blocks_go_in_block_diagonally(self):
+        # max t s.t. diag(A1 - tI, A2 - tI) >= 0 is min(lambda_min A1, lambda_min A2)
+        rng = np.random.default_rng(808)
+        for _ in range(4):
+            a1, a2 = random_hermitian(rng, 3), random_hermitian(rng, 2)
+            c = np.zeros((5, 5), dtype=complex)
+            c[:3, :3], c[3:, 3:] = a1, a2
+            res = sdp.maximize_lmi([1.0], c, [np.eye(5)])
+            assert res.status == sdp.STATUS_OPTIMAL
+            want = min(np.linalg.eigvalsh(a1)[0], np.linalg.eigvalsh(a2)[0])
+            assert abs(res.value - want) <= 1e-7 * (1.0 + abs(want))
+            off = res.primal_matrix[:3, 3:]
+            assert np.abs(off).max() <= 1e-8
+            assert abs(np.trace(res.primal_matrix).real - 1.0) <= 1e-7
+
+    def test_each_iterate_is_factored_once_per_iteration(self, monkeypatch):
+        # per iteration: one Cholesky of X and one of S, the predictor and the
+        # corrector Newton solves, and no solve inside the step-length tests
+        counts = {"cholesky": 0, "solve": 0, "solve_in_step": 0, "steps": 0}
+        in_step = []
+        cholesky, solve, max_step = np.linalg.cholesky, np.linalg.solve, sdp._max_step
+
+        def counting_cholesky(a):
+            out = cholesky(a)
+            counts["cholesky"] += 1
+            return out
+
+        def counting_solve(a, b):
+            counts["solve"] += 1
+            counts["solve_in_step"] += bool(in_step)
+            return solve(a, b)
+
+        def counting_step(*args):
+            counts["steps"] += 1
+            in_step.append(1)
+            try:
+                return max_step(*args)
+            finally:
+                in_step.pop()
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(sdp, "_max_step", counting_step)
+        rng = np.random.default_rng(909)
+        fs = [random_hermitian(rng, 4) for _ in range(5)]
+        res = sdp.maximize_lmi(
+            np.r_[1.0, np.zeros(5)], random_hermitian(rng, 4), [np.eye(4)] + fs,
+            nonneg=range(1, 6), caps=[(0, 1.0)],
+        )
+        assert res.status == sdp.STATUS_OPTIMAL
+        # the last iteration only finds the iterate optimal
+        steps = res.residuals["iterations"] - 1
+        assert steps >= 5
+        assert counts == {"cholesky": 2 * steps, "solve": 2 * steps, "solve_in_step": 0,
+                          "steps": 4 * steps}
+
+
+class TestFeasibilityInput:
+    def test_each_gamble_is_validated(self):
+        with pytest.raises(DimensionMismatchError):
+            sdp.feasibility_margin(-np.eye(3), [np.ones((3, 2))])
+        with pytest.raises(ValidationError):
+            sdp.feasibility_margin(-np.eye(3), [np.full((3, 3), np.inf)])
+
+    def test_asymmetric_gamble_warns_once(self):
+        f = np.eye(3) + np.triu(np.ones((3, 3)), 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sdp.feasibility_margin(-np.eye(3), [f])
+        assert sum("input symmetrised" in str(w.message) for w in caught) == 1
 
 
 class TestDeterminism:
