@@ -9,7 +9,7 @@ is a credal set of density matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,10 @@ _UNIT_TOL = 1e-10
 _IMAG_TOL = 1e-12
 # tolerance of the eigenvalue re-checks on solver output (states, Dutch books)
 _CERT_TOL = 1e-7
+# a feasibility margin at or above FEASIBLE_MARGIN means feasible, one below
+# INFEASIBLE_MARGIN infeasible; the solve is inconclusive in between
+FEASIBLE_MARGIN = -1e-8
+INFEASIBLE_MARGIN = -1e-6
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,15 @@ class Gamble:
 
 @dataclass(frozen=True)
 class AssessmentSet:
-    """Finite list of accepted gambles over a common factor structure."""
+    """Finite list of accepted gambles over a common factor structure.
+
+    ``matrices`` is the read-only (m, n, n) stack of the gambles' matrices,
+    built once from the already validated gambles; every solve takes it as is.
+    """
 
     gambles: tuple
     dims: tuple
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = linalg.factor_dims(self.dims)
@@ -72,16 +81,16 @@ class AssessmentSet:
         for g in gambles:
             if g.dims != dims:
                 raise DimensionMismatchError("all gambles must share the assessment dims")
+        n = math.prod(dims)
+        mats = np.array([g.matrix for g in gambles], dtype=complex).reshape(len(gambles), n, n)
+        mats.flags.writeable = False
         object.__setattr__(self, "gambles", gambles)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "matrices", mats)
 
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims))
-
-    @property
-    def matrices(self):
-        return [g.matrix for g in self.gambles]
 
     @classmethod
     def vacuous(cls, dims) -> "AssessmentSet":
@@ -163,6 +172,52 @@ def gamble_eval(g: Gamble, states) -> float:
     return float(val.real)
 
 
+def _shift_lmi(a: AssessmentSet, f0, cap: float, tol=None):
+    """max t s.t. F0 - t I - sum lam_i G_i >= 0, lam >= 0 and t <= cap."""
+    p = len(a.gambles)
+    b = np.zeros(1 + p)
+    b[0] = 1.0
+    a_main = np.concatenate([np.eye(a.dim, dtype=complex)[None], a.matrices])
+    return sdp.maximize_lmi(
+        b, f0, a_main, nonneg=tuple(range(1, 1 + p)), caps=((0, cap),), tol=tol
+    )
+
+
+def _feasibility(a: AssessmentSet, f0, tol=None):
+    """Is F0 = sum lam_i G_i + P for some lam >= 0 and PSD P?
+
+    Solves for the margin, the largest t <= 1 with F0 - t I - sum lam_i G_i
+    PSD, and returns ``(margin, lam, sigma)``.  A margin of at least
+    FEASIBLE_MARGIN comes with the multipliers lam (sigma None).  One below
+    INFEASIBLE_MARGIN comes with the separating state sigma (lam None): the
+    solver's primal block over its trace, checked again before it is returned
+    to be a state with Tr(G_i sigma) >= 0 (:func:`_certifies_coherence`) and
+    Tr(F0 sigma) < 0.  A margin in between, or a failed re-check, raises
+    :class:`SolverFailure`.
+    """
+    res = _shift_lmi(a, f0, 1.0, tol=tol)
+    if res.status != sdp.STATUS_OPTIMAL:
+        raise SolverFailure(
+            f"feasibility solve ended with status {res.status}", residuals=res.residuals
+        )
+    margin = max(float(res.y[0]), -1e10)
+    if margin >= FEASIBLE_MARGIN:
+        return margin, np.maximum(res.y[1:], 0.0), None
+    if margin >= INFEASIBLE_MARGIN:
+        raise SolverFailure(
+            "feasibility margin is inconclusive", residuals={"margin": margin, **res.residuals}
+        )
+    sigma = res.primal_matrix
+    trace = float(np.trace(sigma).real)
+    value = float(np.trace(f0 @ sigma).real)
+    if not (trace > 0.0 and value < 0.0 and _certifies_coherence(a, sigma / trace)):
+        raise SolverFailure(
+            "separating state fails the re-check",
+            residuals={"margin": margin, "trace": trace, "value": value, **res.residuals},
+        )
+    return margin, None, sigma / trace
+
+
 def is_p_coherent(a: AssessmentSet, tol=None) -> CoherenceVerdict:
     """Check that no positive combination of assessments plus a PSD form equals -1.
 
@@ -170,17 +225,10 @@ def is_p_coherent(a: AssessmentSet, tol=None) -> CoherenceVerdict:
     the optimal shift of that system is reported as the margin, and an
     incoherent set comes with the minimal-stake multiplier certificate.
     """
-    eye = np.eye(a.dim, dtype=complex)
-    report = sdp.feasibility_margin(-eye, [-g for g in a.matrices], tol=tol)
-    if sdp.INFEASIBLE_MARGIN <= report.margin < sdp.FEASIBLE_MARGIN:
-        raise SolverFailure(
-            "coherence check is numerically inconclusive",
-            residuals={"margin": report.margin},
-        )
-    if report.margin < 0.0:
-        return CoherenceVerdict(True, None, report.margin)
-    lam = _minimal_dutch_book(a, tol=tol)
-    return CoherenceVerdict(False, lam, report.margin)
+    margin, lam, _ = _feasibility(a, -np.eye(a.dim, dtype=complex), tol=tol)
+    if lam is None:
+        return CoherenceVerdict(True, None, margin)
+    return CoherenceVerdict(False, _minimal_dutch_book(a, tol=tol), margin)
 
 
 def _minimal_dutch_book(a: AssessmentSet, tol=None):
@@ -192,20 +240,13 @@ def _minimal_dutch_book(a: AssessmentSet, tol=None):
     """
     p = len(a.gambles)
     eye = np.eye(a.dim, dtype=complex)
-    b = -np.ones(p)
-    res = sdp.maximize_lmi(
-        b,
-        -eye,
-        [g for g in a.matrices],
-        nonneg=tuple(range(p)),
-        tol=tol,
-    )
+    res = sdp.maximize_lmi(-np.ones(p), -eye, a.matrices, nonneg=tuple(range(p)), tol=tol)
     if res.status != sdp.STATUS_OPTIMAL:
         raise SolverFailure(
             f"certificate polish ended with status {res.status}", residuals=res.residuals
         )
     lam = np.maximum(res.y, 0.0)
-    mats = np.array(a.matrices)
+    mats = a.matrices
     scale = 1.0 + float(lam @ np.linalg.norm(mats, axis=(1, 2)))
     slack_min = float(np.linalg.eigvalsh(-eye - np.tensordot(lam, mats, 1))[0])
     lam_min = float(res.y.min())
@@ -222,24 +263,7 @@ def natural_extension_contains(a: AssessmentSet, f: Gamble, tol=None) -> bool:
     """Membership of f in posi(PSD forms plus assessments)."""
     if f.dims != a.dims:
         raise DimensionMismatchError("gamble dims do not match the assessment set")
-    return sdp.psd_feasibility(f.matrix, [-g for g in a.matrices], tol=tol) is not None
-
-
-def _prevision_lmi(a: AssessmentSet, f: Gamble, tol=None):
-    p = len(a.gambles)
-    n = a.dim
-    b = np.zeros(1 + p)
-    b[0] = 1.0
-    cap = float(np.linalg.norm(f.matrix)) + 1.0
-    a_main = [np.eye(n, dtype=complex)] + list(a.matrices)
-    return sdp.maximize_lmi(
-        b,
-        f.matrix,
-        a_main,
-        nonneg=tuple(range(1, 1 + p)),
-        caps=((0, cap),),
-        tol=tol,
-    )
+    return _feasibility(a, f.matrix, tol=tol)[1] is not None
 
 
 def _certifies_coherence(a: AssessmentSet, rho) -> bool:
@@ -250,7 +274,7 @@ def _certifies_coherence(a: AssessmentSet, rho) -> bool:
     """
     if np.linalg.eigvalsh(rho)[0] < -_CERT_TOL or abs(np.trace(rho).real - 1.0) > _CERT_TOL:
         return False
-    mats = np.array(a.matrices)
+    mats = a.matrices
     values = np.einsum("kij,ji->k", mats, rho).real
     return bool(np.all(values >= -_CERT_TOL * (1.0 + np.linalg.norm(mats, axis=(1, 2)))))
 
@@ -264,7 +288,7 @@ def _solve_prevision(a: AssessmentSet, f: Gamble, tol=None):
     """
     if f.dims != a.dims:
         raise DimensionMismatchError("gamble dims do not match the assessment set")
-    res = _prevision_lmi(a, f, tol=tol)
+    res = _shift_lmi(a, f.matrix, float(np.linalg.norm(f.matrix)) + 1.0, tol=tol)
     if a.gambles and not _certifies_coherence(a, res.primal_matrix):
         if not is_p_coherent(a, tol=tol).p_coherent:
             raise ValidationError("previsions are defined for P-coherent assessments only")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, sdp
-from .errors import ValidationError
+from .errors import SolverFailure, ValidationError
 
 MONOMIAL_EXPONENTS = (
     (0, 0),
@@ -181,9 +181,11 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     matrix is PSD; the solve reports the best achievable smallest eigenvalue.
     When that is negative, the solver's primal block is a PSD Hankel-tied
     moment matrix whose functional is negative on the polynomial, returned as
-    the separating certificate.  A Gram matrix is checked again before it is
-    returned: lambda_min(Q) >= -1e-7 (1 + |Q|) and a coefficient residual of
-    at most 1e-6 (1 + max |c_i|), else :class:`SolverFailure`.
+    the separating certificate.  Either certificate is checked again before it
+    is returned, else :class:`SolverFailure`: a Gram matrix needs
+    lambda_min(Q) >= -1e-7 (1 + |Q|) and a coefficient residual of at most
+    1e-6 (1 + max |c_i|); a moment table needs lambda_min(M) >= -1e-7 (1 + |M|)
+    for its moment matrix M and a negative value on the polynomial.
     """
     constraint_rows = np.stack([_sym_coords(_indicator(pair)) for pair in PRODUCT_EXPONENTS])
     rhs = np.array([p.coeffs.get(pair, 0.0) for pair in PRODUCT_EXPONENTS])
@@ -191,16 +193,16 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     q0 = _sym_from_coords(q0_coords)
     _, svals, vt = np.linalg.svd(constraint_rows)
     rank = int((svals > 1e-12 * svals[0]).sum())
-    null_basis = [_sym_from_coords(vt[r]) for r in range(rank, vt.shape[0])]
+    null_basis = np.array([_sym_from_coords(vt[r]) for r in range(rank, vt.shape[0])])
 
     nvar = 1 + len(null_basis)
     b = np.zeros(nvar)
     b[0] = 1.0
     cap = 1.0 + float(np.linalg.norm(q0))
-    a_main = [np.eye(10)] + [-nb for nb in null_basis]
+    a_main = np.concatenate([np.eye(10)[None], -null_basis])
     res = sdp.maximize_lmi(b, q0, a_main, caps=((0, cap),), tol=tol)
     if res.status != sdp.STATUS_OPTIMAL:
-        raise sdp.SolverFailure(
+        raise SolverFailure(
             f"Gram margin solve ended with status {res.status}", residuals=res.residuals
         )
     margin = float(res.y[0])
@@ -216,7 +218,7 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
             gram_min < -_GRAM_TOL * (1.0 + float(np.linalg.norm(q_star)))
             or coeff_residual > _COEFF_TOL * (1.0 + float(np.abs(rhs).max()))
         ):
-            raise sdp.SolverFailure(
+            raise SolverFailure(
                 "Gram certificate fails the re-check",
                 residuals={"gram_min_eig": gram_min, "coefficient_residual": coeff_residual,
                            **res.residuals},
@@ -234,8 +236,16 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     z00 = moments[(0, 0)]
     if z00 > 1e-12:
         moments = {k: v / z00 for k, v in moments.items()}
-    value = sum(p.coeffs.get(pair, 0.0) * moments[pair] for pair in PRODUCT_EXPONENTS)
-    return SosVerdict(False, margin, None, moments, float(value))
+    value = float(sum(p.coeffs.get(pair, 0.0) * moments[pair] for pair in PRODUCT_EXPONENTS))
+    mmat = _moment_matrix(moments)
+    moment_min = float(np.linalg.eigvalsh(mmat)[0])
+    if moment_min < -_GRAM_TOL * (1.0 + float(np.linalg.norm(mmat))) or not value < 0.0:
+        raise SolverFailure(
+            "moment certificate fails the re-check",
+            residuals={"moment_min_eig": moment_min, "certificate_value": value,
+                       **res.residuals},
+        )
+    return SosVerdict(False, margin, None, moments, value)
 
 
 def sos_check(p: BiPoly, tol=None):
@@ -256,13 +266,17 @@ def moment_functional(zmat: MomentMatrix10, p: BiPoly) -> float:
 
 def assemble_moment_matrix(zmat: MomentMatrix10) -> np.ndarray:
     """10x10 matrix whose (i, j) entry is the moment of monomial_i * monomial_j."""
+    return _moment_matrix(zmat.z)
+
+
+def _moment_matrix(z: dict) -> np.ndarray:
     out = np.empty((10, 10))
     for i, (a1, b1) in enumerate(MONOMIAL_EXPONENTS):
         for j, (a2, b2) in enumerate(MONOMIAL_EXPONENTS):
             pair = (a1 + a2, b1 + b2)
-            if pair not in zmat.z:
+            if pair not in z:
                 raise ValidationError(f"moment table missing entry for exponents {pair}")
-            out[i, j] = zmat.z[pair]
+            out[i, j] = z[pair]
     return out
 
 

@@ -1,4 +1,4 @@
-"""Small dense semidefinite feasibility and minimisation.
+"""Small dense semidefinite programming: one solver core, one entry point.
 
 The core is a primal-dual interior-point method (predictor-corrector, KSH
 direction, dense normal-equation solves) over one dense PSD block of modest
@@ -6,14 +6,13 @@ size (several go in block-diagonally) plus one nonnegative orthant.  Each
 iterate is Cholesky-factored once per iteration, and that factor serves S^-1
 and every step-length test.  Complex Hermitian data is handled through the
 real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``; slack scalars
-(sign constraints, caps, inequality slacks) live in the orthant, which is
-updated elementwise.
+(sign constraints and caps) live in the orthant, which is updated
+elementwise.
 
-Three public entry points wrap the core:
-
-* :func:`psd_minimize`     -- min <C,X> over PSD X with affine trace constraints
-* :func:`psd_feasibility`  -- does F0 + sum_i lam_i F_i admit a PSD point, lam >= 0
-* :func:`maximize_lmi`     -- max b.y subject to C - sum_k y_k A_k >= 0
+:func:`maximize_lmi` is the one entry point: max b.y subject to
+C - sum_k y_k A_k >= 0, with optional sign and cap constraints on y.  Its
+coefficients must already be Hermitian: they are checked, not symmetrised, so
+callers symmetrise once where the data enters (``linalg.as_hermitian``).
 
 Every solve is deterministic: fixed iteration order, no randomisation.
 """
@@ -21,13 +20,13 @@ Every solve is deterministic: fixed iteration order, no randomisation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SolverFailure, ValidationError
-from .linalg import as_hermitian
+from .errors import DimensionMismatchError, ValidationError
+from .linalg import HERMITICITY_WARN_TOL, as_hermitian
 
 DEFAULT_TOL = 1e-9
 MAX_ITERATIONS = 200
@@ -268,10 +267,29 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
 def _lift(c, mats):
     """Real symmetric cost block and (m, N, N) constraint stack from Hermitian data.
 
-    Complex data goes through the embedding (N = 2n, ``embedded`` true); real
-    data stays as it is (N = n).
+    ``c`` is (n, n) and ``mats`` an (m, n, n) stack.  The data is checked once,
+    as a whole: square matching shapes (else DimensionMismatchError), finite
+    entries and |A - A^dagger| <= HERMITICITY_WARN_TOL (1 + |A|) for each
+    matrix (else ValidationError).  Complex data goes through the embedding
+    (N = 2n, ``embedded`` true); real data stays as it is (N = n).
     """
-    stack = np.array([c, *mats], dtype=complex)
+    c = np.asarray(c, dtype=complex)
+    try:
+        mats = np.asarray(mats, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatchError("main-block coefficients must share one shape") from exc
+    if len(mats) == 0:
+        mats = mats.reshape(0, *c.shape)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or mats.shape[1:] != c.shape:
+        raise DimensionMismatchError(
+            f"expected square coefficients of c_main's shape {c.shape}, got {mats.shape[1:]}"
+        )
+    stack = np.concatenate([c[None], mats])
+    if not np.isfinite(stack.view(float)).all():
+        raise ValidationError("main-block coefficients must be finite")
+    skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
+    if (skew > HERMITICITY_WARN_TOL * (1.0 + np.linalg.norm(stack, axis=(1, 2)))).any():
+        raise ValidationError("main-block coefficients must be Hermitian")
     embedded = bool(np.any(stack.imag != 0.0))
     if embedded:
         re, im = stack.real, stack.imag
@@ -285,94 +303,6 @@ def _unembed(mr, n):
     re = (mr[:n, :n] + mr[n:, n:]) / 2.0
     im = (mr[n:, :n] - mr[:n, n:]) / 2.0
     return as_hermitian(re + 1j * im, warn_tol=np.inf)
-
-
-# ---------------------------------------------------------------------------
-# public problem types
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AffinePsdProblem:
-    """min <C,X> over X >= 0 with Tr(A_k X) = b_k and Tr(B_j X) >= c_j."""
-
-    objective: np.ndarray
-    equality_constraints: list
-    inequality_constraints: list = field(default_factory=list)
-    dim: int = 0
-
-    def __post_init__(self):
-        self.objective = as_hermitian(self.objective)
-        if self.dim == 0:
-            self.dim = self.objective.shape[0]
-        if self.objective.shape[0] != self.dim:
-            raise DimensionMismatchError("objective dimension does not match problem dim")
-        self.equality_constraints = [
-            (as_hermitian(a), float(v)) for a, v in self.equality_constraints
-        ]
-        self.inequality_constraints = [
-            (as_hermitian(a), float(v)) for a, v in self.inequality_constraints
-        ]
-        for a, _ in self.equality_constraints + self.inequality_constraints:
-            if a.shape[0] != self.dim:
-                raise DimensionMismatchError("constraint dimension does not match problem dim")
-        if not self.equality_constraints and not self.inequality_constraints:
-            raise ValidationError("problem needs at least one constraint")
-
-
-@dataclass
-class SdpSolution:
-    status: str
-    X: Optional[np.ndarray]
-    value: float
-    duals: np.ndarray
-    certificate_residuals: dict
-
-
-def psd_minimize(problem: AffinePsdProblem, tol: Optional[float] = None) -> SdpSolution:
-    """Solve an :class:`AffinePsdProblem`; inequalities get orthant slacks."""
-    tol = solver_tolerance(tol)
-    n = problem.dim
-    eqs = problem.equality_constraints
-    ineqs = problem.inequality_constraints
-    rows = eqs + ineqs
-    c_psd, a_psd, embed = _lift(problem.objective, [a for a, _ in rows])
-    bscale = 2.0 if embed else 1.0
-
-    # Tr(B_j X) - x_j = c_j with slack x_j >= 0
-    a_lin = np.zeros((len(rows), len(ineqs)))
-    a_lin[len(eqs):] = -np.eye(len(ineqs))
-    b = bscale * np.array([v for _, v in rows])
-
-    res = _solve_core(c_psd, a_psd, np.zeros(len(ineqs)), a_lin, b, tol)
-    if res.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
-        return SdpSolution(res.status, None, float("nan"), res.y, res.residual_dict())
-
-    xmat = _unembed(res.X, n) if embed else as_hermitian(res.X, warn_tol=np.inf)
-    value = res.primal_objective / bscale
-    eig_min = float(np.linalg.eigvalsh(xmat)[0])
-    eq_res = max(
-        (abs(float(np.trace(a @ xmat).real) - v) / (1.0 + abs(v)) for a, v in eqs),
-        default=0.0,
-    )
-    ineq_res = max(
-        (max(0.0, v - float(np.trace(a @ xmat).real)) for a, v in ineqs),
-        default=0.0,
-    )
-    residuals = res.residual_dict()
-    residuals.update(
-        {
-            "primal_psd_violation": max(0.0, -eig_min),
-            "equality_residual": eq_res,
-            "inequality_residual": ineq_res,
-        }
-    )
-    status = res.status
-    if status == STATUS_OPTIMAL and (
-        eig_min < -1e-7 or eq_res > 1e-7 or ineq_res > 1e-7
-    ):
-        status = STATUS_NUMERICAL_FAILURE
-    return SdpSolution(status, xmat, value, res.y, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -393,30 +323,33 @@ class LmiResult:
 def maximize_lmi(
     b: Sequence[float],
     c_main: np.ndarray,
-    a_main: Sequence[np.ndarray],
+    a_main: np.ndarray,
     nonneg: Sequence[int] = (),
     caps: Sequence[tuple] = (),
     tol: Optional[float] = None,
 ) -> LmiResult:
     """Maximise ``b . y`` subject to ``c_main - sum_k y_k a_main[k] >= 0``.
 
-    ``nonneg`` lists variable indices constrained to y_k >= 0; ``caps`` holds
-    ``(index, upper_bound)`` pairs.  The solver's primal block associated with
-    the main LMI is returned (in original complex units) -- for prevision
-    problems it is the optimising density matrix, for feasibility problems a
-    separating functional.
+    ``c_main`` is an (n, n) Hermitian matrix and ``a_main`` an (m, n, n)
+    stack of Hermitian matrices, one per variable; both are checked as in
+    :func:`_lift`, never symmetrised.  ``nonneg`` lists variable indices
+    constrained to y_k >= 0; ``caps`` holds ``(index, upper_bound)`` pairs.
+    The solver's primal block associated with the main LMI is returned (in
+    original complex units) -- for prevision problems it is the optimising
+    density matrix, for feasibility problems a separating functional.
+
+    ``status`` names the core's primal side, min <C, X> over the primal
+    block, not this maximisation: ``unbounded`` means that side is unbounded
+    below, so no y satisfies the LMI; ``infeasible`` means it has no feasible
+    X, shown by a direction in y that raises b . y and keeps the LMI.
     """
     tol = solver_tolerance(tol)
     b = np.asarray(b, dtype=float)
     m = len(b)
     if len(a_main) != m:
         raise DimensionMismatchError("one main-block coefficient required per variable")
-    c_main = as_hermitian(c_main)
-    a_main = [as_hermitian(a) for a in a_main]
-    if any(a.shape != c_main.shape for a in a_main):
-        raise DimensionMismatchError("main-block coefficients must match c_main's shape")
-    n = c_main.shape[0]
     c_psd, a_psd, embed = _lift(c_main, a_main)
+    n = c_psd.shape[0] // 2 if embed else c_psd.shape[0]
 
     # orthant slacks: y_k for y_k >= 0, ub - y_k for y_k <= ub
     a_lin = np.zeros((m, len(nonneg) + len(caps)))
@@ -436,73 +369,4 @@ def maximize_lmi(
         primal_matrix=primal,
         primal_value=res.primal_objective,
         residuals=res.residual_dict(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# feasibility of F0 + sum_i lam_i F_i >= 0 with lam >= 0
-# ---------------------------------------------------------------------------
-
-FEASIBLE_MARGIN = -1e-8
-INFEASIBLE_MARGIN = -1e-6
-
-
-@dataclass
-class FeasibilityReport:
-    margin: float
-    multipliers: np.ndarray
-    separating: Optional[np.ndarray]
-    residuals: dict
-
-
-def feasibility_margin(
-    f0: np.ndarray, fs: Sequence[np.ndarray], tol: Optional[float] = None
-) -> FeasibilityReport:
-    """max t with F0 + sum lam_i F_i - t I >= 0, lam >= 0, t capped at 1.
-
-    The margin is the optimal t; the primal block provides a separating
-    functional (a PSD matrix sigma with <F0,sigma> < 0 <= <F_i,sigma>)
-    whenever the margin is negative.
-    """
-    f0 = as_hermitian(f0)
-    n = f0.shape[0]
-    p = len(fs)
-    b = np.zeros(1 + p)
-    b[0] = 1.0
-    # maximize_lmi validates and symmetrises each coefficient
-    a_main = [np.eye(n, dtype=complex)] + [-np.asarray(f, dtype=complex) for f in fs]
-    res = maximize_lmi(
-        b,
-        f0,
-        a_main,
-        nonneg=tuple(range(1, 1 + p)),
-        caps=((0, 1.0),),
-        tol=tol,
-    )
-    if res.status != STATUS_OPTIMAL:
-        raise SolverFailure(
-            f"feasibility solve ended with status {res.status}", residuals=res.residuals
-        )
-    t_opt = max(float(res.y[0]), -1e10)
-    lam = np.maximum(res.y[1:], 0.0)
-    sep = res.primal_matrix
-    return FeasibilityReport(t_opt, lam, sep, res.residuals)
-
-
-def psd_feasibility(
-    f0: np.ndarray, fs: Sequence[np.ndarray], tol: Optional[float] = None
-) -> Optional[np.ndarray]:
-    """Multipliers lam >= 0 making F0 + sum lam_i F_i PSD, or None if impossible.
-
-    Raises :class:`SolverFailure` on the ambiguous near-boundary band where
-    the margin falls between the feasible and infeasible thresholds.
-    """
-    report = feasibility_margin(f0, fs, tol=tol)
-    if report.margin >= FEASIBLE_MARGIN:
-        return report.multipliers
-    if report.margin < INFEASIBLE_MARGIN:
-        return None
-    raise SolverFailure(
-        "feasibility margin is inconclusive",
-        residuals={"margin": report.margin, **report.residuals},
     )

@@ -217,20 +217,19 @@ def test_criterion_11_property_suites(bell_state, witness):
         ok_kron &= np.linalg.norm(lhs - rhs) <= 1e-12 * (1.0 + np.linalg.norm(rhs))
     checks.append(ok_kron)
 
-    # solver weak duality on a batch of minimisations
+    # solver weak duality on a batch of minimisations: min <C,X> over states
+    # with Tr(G X) >= -1, as the LMI max y_0 - y_1 s.t. C - y_0 I - y_1 G >= 0
     from pcoh import sdp
 
     ok_dual = True
+    b = np.array([1.0, -1.0])
     for _ in range(5):
         n = int(rng.integers(2, 5))
-        prob = sdp.AffinePsdProblem(
-            objective=random_hermitian(rng, n),
-            equality_constraints=[(np.eye(n), 1.0)],
-            inequality_constraints=[(random_hermitian(rng, n), -1.0)],
-        )
-        sol = sdp.psd_minimize(prob)
-        if sol.status == sdp.STATUS_OPTIMAL:
-            ok_dual &= sol.value >= float(np.array([1.0, -1.0]) @ sol.duals) - 1e-6
+        c = random_hermitian(rng, n)
+        g = random_hermitian(rng, n)
+        res = sdp.maximize_lmi(b, c, np.stack([np.eye(n), g]), nonneg=(1,))
+        if res.status == sdp.STATUS_OPTIMAL:
+            ok_dual &= res.primal_value >= float(b @ res.y) - 1e-6
     checks.append(ok_dual)
 
     verdict(11, "module property suites (translation, homogeneity, conditioning "

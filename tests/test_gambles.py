@@ -150,6 +150,71 @@ class TestCoherence:
             gambles._minimal_dutch_book(a)
 
 
+class TestSeparatingState:
+    @pytest.mark.parametrize(
+        "gs, f, perturb",
+        [
+            # coherent vacuous set; the state is pushed off the PSD cone
+            ([], None, lambda m: m + np.trace(m) * np.array([[0.0, 1.0], [1.0, 0.0]])),
+            # coherent {diag(1, -1)}; the state moves outside the credal set
+            ([np.diag([1.0, -1.0])], None, lambda m: np.diag([0.0, 1.0]) * np.trace(m)),
+            # diag(1, -1) outside the vacuous natural extension; the state now prices it at +1
+            ([], np.diag([1.0, -1.0]), lambda m: np.diag([1.0, 0.0]) * np.trace(m)),
+        ],
+        ids=["indefinite", "outside-credal-set", "non-negative-value"],
+    )
+    def test_recheck_rejects_perturbed_state(self, monkeypatch, gs, f, perturb):
+        a = gambles.AssessmentSet(tuple(gambles.Gamble(g, (2,)) for g in gs), (2,))
+        if f is None:
+            assert gambles.is_p_coherent(a).p_coherent
+            verdict = lambda: gambles.is_p_coherent(a)  # noqa: E731
+        else:
+            f = gambles.Gamble(f, (2,))
+            assert not gambles.natural_extension_contains(a, f)
+            verdict = lambda: gambles.natural_extension_contains(a, f)  # noqa: E731
+        solve = sdp.maximize_lmi
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.primal_matrix = perturb(res.primal_matrix)
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", perturbed)
+        with pytest.raises(SolverFailure, match="separating state fails the re-check"):
+            verdict()
+
+
+class TestValidateOnce:
+    def test_matrices_are_one_read_only_stack(self):
+        rng = np.random.default_rng(30)
+        a = coherent_random_assessments(rng, 4, 4, (2, 2))
+        assert a.matrices.shape == (4, 4, 4) and not a.matrices.flags.writeable
+        assert all(np.array_equal(m, g.matrix) for m, g in zip(a.matrices, a.gambles))
+        assert gambles.AssessmentSet.vacuous((2, 3)).matrices.shape == (0, 6, 6)
+
+    def test_solves_symmetrise_no_input_coefficient(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        a = coherent_random_assessments(rng, 4, 4, (2, 2))
+        bad = gambles.AssessmentSet((gambles.Gamble(-np.eye(4), (2, 2)), *a.gambles), (2, 2))
+        f = gambles.Gamble(random_hermitian(rng, 4), (2, 2))
+        inputs = [*bad.matrices, f.matrix, np.eye(4), -np.eye(4)]
+        seen = []
+        as_hermitian = linalg.as_hermitian
+
+        def recording(m, *args, **kwargs):
+            seen.append(np.array(m, copy=True))
+            return as_hermitian(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "as_hermitian", recording)
+        monkeypatch.setattr(sdp, "as_hermitian", recording)
+        assert gambles.is_p_coherent(a).p_coherent
+        assert not gambles.is_p_coherent(bad).p_coherent
+        gambles.lower_prevision(a, f)
+        # the solver's output blocks are still symmetrised, so the patch is live
+        assert seen
+        assert not any(np.array_equal(m, x) for m in seen for x in inputs)
+
+
 class TestNaturalExtension:
     def test_identity_always_contained(self):
         a = gambles.AssessmentSet.vacuous((2, 2))

@@ -148,6 +148,32 @@ class TestSosCheck:
             realsos.sos_check_detail(poly)
         assert info.value.residuals["gram_min_eig"] < -1e-3
 
+    @pytest.mark.parametrize(
+        "perturb, failed",
+        [
+            # a primal block with a large (0, 1) entry: the moment z_10 breaks PSD
+            (lambda m: m + 10.0 * np.trace(m) * unit_pair(0, 1), lambda r: r["moment_min_eig"] < -1.0),
+            # the uniform primal block: PSD moments, but a positive value
+            (lambda m: np.eye(10) * np.trace(m) / 10.0, lambda r: r["certificate_value"] > 0.0),
+        ],
+        ids=["indefinite-moments", "positive-value"],
+    )
+    def test_moment_recheck_rejects_perturbed_solution(self, monkeypatch, perturb, failed):
+        poly = realsos.motzkin("classic")
+        verdict = realsos.sos_check_detail(poly)
+        assert not verdict.is_sos and verdict.certificate_value < 0.0
+        solve = sdp.maximize_lmi
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.primal_matrix = perturb(res.primal_matrix)
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", perturbed)
+        with pytest.raises(SolverFailure, match="re-check") as info:
+            realsos.sos_check_detail(poly)
+        assert failed(info.value.residuals)
+
     def test_gram_recheck_rejects_coefficient_mismatch(self, monkeypatch):
         # Gram matrix I: strictly inside the cone, so only the coefficients can fail
         p = realsos.BiPoly({(2 * a, 2 * b): 1.0 for a, b in realsos.MONOMIAL_EXPONENTS})
@@ -169,6 +195,13 @@ class TestSosCheck:
         p = realsos.BiPoly(expand_square(base))
         assert realsos.sos_check(p) is not None
         assert realsos.grid_min(p, 3.0, 301) >= -1e-6
+
+
+def unit_pair(i, j):
+    """E_ij + E_ji in the 10x10 monomial basis."""
+    e = np.zeros((10, 10))
+    e[i, j] = e[j, i] = 1.0
+    return e
 
 
 class TestMomentFunctional:

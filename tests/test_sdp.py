@@ -57,23 +57,30 @@ def bloch_grid_oracle(f, constraints, refine=True):
     return float(f0 + best @ fv)
 
 
+def unit_trace_minimum(c, gs=(), bounds=()):
+    """min <C,X> over states X with Tr(G_j X) >= c_j, posed as its dual LMI.
+
+    max y_0 + sum_j c_j y_j s.t. C - y_0 I - sum_j y_j G_j >= 0 and y_j >= 0:
+    ``primal_value`` and ``primal_matrix`` read the minimum and the minimiser
+    back, and ``b . y`` is the dual bound.
+    """
+    n = c.shape[0]
+    b = np.r_[1.0, bounds]
+    res = sdp.maximize_lmi(b, c, np.stack([np.eye(n), *gs]), nonneg=range(1, len(b)))
+    return res, b
+
+
 class TestPsdMinimize:
     def test_diagonal_eigen_case(self):
-        prob = sdp.AffinePsdProblem(
-            objective=np.diag([1.0, 2.0]), equality_constraints=[(np.eye(2), 1.0)]
-        )
-        sol = sdp.psd_minimize(prob)
-        assert sol.status == sdp.STATUS_OPTIMAL
-        assert abs(sol.value - 1.0) <= 1e-7
-        assert np.allclose(sol.X, np.diag([1.0, 0.0]), atol=1e-6)
+        res, _ = unit_trace_minimum(np.diag([1.0, 2.0]))
+        assert res.status == sdp.STATUS_OPTIMAL
+        assert abs(res.primal_value - 1.0) <= 1e-7
+        assert np.allclose(res.primal_matrix, np.diag([1.0, 0.0]), atol=1e-6)
 
     def test_witness_fixture_minimum(self, witness_h):
-        prob = sdp.AffinePsdProblem(
-            objective=witness_h, equality_constraints=[(np.eye(4), 1.0)]
-        )
-        sol = sdp.psd_minimize(prob)
-        assert sol.status == sdp.STATUS_OPTIMAL
-        assert abs(sol.value + 3.0) <= 1e-7
+        res, _ = unit_trace_minimum(witness_h)
+        assert res.status == sdp.STATUS_OPTIMAL
+        assert abs(res.primal_value + 3.0) <= 1e-7
 
     def test_random_qubit_instances_match_grid_oracle(self):
         rng = np.random.default_rng(101)
@@ -86,40 +93,30 @@ class TestPsdMinimize:
                 (g - (np.trace(g).real / 2.0 - 0.25) * np.eye(2), 0.0)
                 for g, _ in constraints
             ]
-            prob = sdp.AffinePsdProblem(
-                objective=f,
-                equality_constraints=[(np.eye(2), 1.0)],
-                inequality_constraints=constraints,
-            )
-            sol = sdp.psd_minimize(prob)
-            assert sol.status == sdp.STATUS_OPTIMAL
+            res, _ = unit_trace_minimum(f, *zip(*constraints))
+            assert res.status == sdp.STATUS_OPTIMAL
             want = bloch_grid_oracle(f, constraints)
-            assert abs(sol.value - want) <= 1e-4
+            assert abs(res.primal_value - want) <= 1e-4
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(7)
         f = random_hermitian(rng, 3)
-        prob = sdp.AffinePsdProblem(
-            objective=f,
-            equality_constraints=[(np.eye(3), 1.0)],
-            inequality_constraints=[(random_hermitian(rng, 3), -0.5)],
-        )
-        sol = sdp.psd_minimize(prob)
-        assert sol.status == sdp.STATUS_OPTIMAL
-        assert np.linalg.eigvalsh(sol.X)[0] >= -1e-7
-        assert sol.certificate_residuals["equality_residual"] <= 1e-7
-        assert sol.certificate_residuals["inequality_residual"] <= 1e-7
+        g = random_hermitian(rng, 3)
+        res, _ = unit_trace_minimum(f, [g], [-0.5])
+        assert res.status == sdp.STATUS_OPTIMAL
+        x = res.primal_matrix
+        assert np.linalg.eigvalsh(x)[0] >= -1e-7
+        assert abs(np.trace(x).real - 1.0) <= 1e-7
+        assert np.trace(g @ x).real >= -0.5 - 1e-7
+        assert abs(np.trace(f @ x).real - res.primal_value) <= 1e-7
 
     def test_infeasible_and_unbounded_detection(self):
-        prob = sdp.AffinePsdProblem(
-            objective=np.eye(2), equality_constraints=[(np.eye(2), -1.0)]
-        )
-        assert sdp.psd_minimize(prob).status == sdp.STATUS_INFEASIBLE
-        prob = sdp.AffinePsdProblem(
-            objective=np.diag([-1.0, 0.0]),
-            equality_constraints=[(np.diag([0.0, 1.0]), 1.0)],
-        )
-        assert sdp.psd_minimize(prob).status == sdp.STATUS_UNBOUNDED
+        # min <I, X> s.t. Tr X = -1 has no PSD X
+        res = sdp.maximize_lmi([-1.0], np.eye(2), np.eye(2)[None])
+        assert res.status == sdp.STATUS_INFEASIBLE
+        # min -X_00 s.t. X_11 = 1 runs off to -infinity
+        res = sdp.maximize_lmi([1.0], np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])[None])
+        assert res.status == sdp.STATUS_UNBOUNDED
 
 
 class TestEigenAgreement:
@@ -129,13 +126,10 @@ class TestEigenAgreement:
         for _ in range(50):
             n = int(rng.integers(2, 9))
             c = random_hermitian(rng, n)
-            prob = sdp.AffinePsdProblem(
-                objective=c, equality_constraints=[(np.eye(n), 1.0)]
-            )
-            sol = sdp.psd_minimize(prob)
-            assert sol.status == sdp.STATUS_OPTIMAL
+            res, _ = unit_trace_minimum(c)
+            assert res.status == sdp.STATUS_OPTIMAL
             lam_min = linalg.hermitian_eigen(c).values[0]
-            assert abs(sol.value - lam_min) <= 1e-7 * (1.0 + abs(lam_min))
+            assert abs(res.primal_value - lam_min) <= 1e-7 * (1.0 + abs(lam_min))
 
 
 class TestWeakDuality:
@@ -144,26 +138,37 @@ class TestWeakDuality:
         for _ in range(10):
             n = int(rng.integers(2, 5))
             c = random_hermitian(rng, n)
-            prob = sdp.AffinePsdProblem(
-                objective=c,
-                equality_constraints=[(np.eye(n), 1.0)],
-                inequality_constraints=[(random_hermitian(rng, n), -1.0)],
-            )
-            sol = sdp.psd_minimize(prob)
-            if sol.status != sdp.STATUS_OPTIMAL:
+            res, b = unit_trace_minimum(c, [random_hermitian(rng, n)], [-1.0])
+            if res.status != sdp.STATUS_OPTIMAL:
                 continue
             # dual bound: b.y for the returned duals is a lower bound
-            b = np.array([1.0, -1.0])
-            assert sol.value >= float(b @ sol.duals) - 1e-6
+            assert res.primal_value >= float(b @ res.y) - 1e-6
+
+
+def feasibility(f0, fs):
+    """gambles._feasibility of F0 + sum lam_i F_i >= 0: the gambles are G_i = -F_i."""
+    n = f0.shape[0]
+    a = gambles.AssessmentSet(tuple(gambles.Gamble(-f, (n,)) for f in fs), (n,))
+    return gambles._feasibility(a, np.asarray(f0, dtype=complex))
+
+
+def assert_separates(sigma, f0, fs):
+    """sigma is a state with Tr(F0 sigma) < 0 <= -Tr(F_i sigma)."""
+    assert np.linalg.eigvalsh(sigma)[0] >= -1e-7
+    assert abs(np.trace(sigma).real - 1.0) <= 1e-9
+    assert np.trace(f0 @ sigma).real < 0.0
+    for f in fs:
+        assert np.trace(f @ sigma).real <= 1e-7
 
 
 class TestPsdFeasibility:
     def test_identity_alone(self):
-        lam = sdp.psd_feasibility(np.eye(3), [])
+        _, lam, sigma = feasibility(np.eye(3), [])
         assert lam is not None and lam.size == 0
+        assert sigma is None
 
     def test_forced_shift(self):
-        lam = sdp.psd_feasibility(-np.eye(3), [np.eye(3)])
+        _, lam, _ = feasibility(-np.eye(3), [np.eye(3)])
         assert lam is not None
         assert lam[0] >= 1.0 - 1e-7
         assert linalg.is_psd(-np.eye(3) + lam[0] * np.eye(3), tol=1e-8)
@@ -172,31 +177,40 @@ class TestPsdFeasibility:
         # scan oracle: -I + t H keeps a negative eigenvalue for every t >= 0
         for t in np.linspace(0.0, 50.0, 201):
             assert np.linalg.eigvalsh(-np.eye(4) + t * witness_h)[0] < 0.0
-        assert sdp.psd_feasibility(-np.eye(4), [witness_h]) is None
+        margin, lam, sigma = feasibility(-np.eye(4), [witness_h])
+        assert lam is None and margin < gambles.INFEASIBLE_MARGIN
+        assert_separates(sigma, -np.eye(4), [witness_h])
 
     def test_scaling_invariance_of_verdict(self):
         rng = np.random.default_rng(404)
         for _ in range(5):
             f0 = random_hermitian(rng, 3)
             fs = [random_hermitian(rng, 3)]
-            v1 = sdp.psd_feasibility(f0, fs) is not None
-            v2 = sdp.psd_feasibility(2.0 * f0, [2.0 * f for f in fs]) is not None
-            assert v1 == v2
+            _, lam, sigma = feasibility(f0, fs)
+            _, lam2, sigma2 = feasibility(2.0 * f0, [2.0 * f for f in fs])
+            assert (lam is not None) == (lam2 is not None)
+            if lam is None:
+                assert_separates(sigma, f0, fs)
+                assert_separates(sigma2, f0, fs)
 
     def test_returned_multipliers_certify(self):
         rng = np.random.default_rng(505)
         for _ in range(5):
             base = random_hermitian(rng, 3)
             f0 = base @ base.conj().T - 0.3 * np.eye(3)
+            f0 = (f0 + f0.conj().T) / 2.0
             fs = [np.eye(3), random_hermitian(rng, 3)]
-            lam = sdp.psd_feasibility(f0, fs)
+            _, lam, _ = feasibility(f0, fs)
             assert lam is not None
             combo = f0 + sum(l * f for l, f in zip(lam, fs))
             assert np.linalg.eigvalsh(combo)[0] >= -1e-8
 
     def test_complex_data_embedding(self):
-        lam = sdp.psd_feasibility(-SIGMA_Y, [np.eye(2)])
+        _, lam, _ = feasibility(-SIGMA_Y, [np.eye(2)])
         assert lam is not None and lam[0] >= 1.0 - 1e-6
+        _, lam, sigma = feasibility(-SIGMA_Y, [])
+        assert lam is None
+        assert_separates(sigma, -SIGMA_Y, [])
 
 
 class TestLinearCone:
@@ -362,28 +376,71 @@ class TestCore:
 class TestFeasibilityInput:
     def test_each_gamble_is_validated(self):
         with pytest.raises(DimensionMismatchError):
-            sdp.feasibility_margin(-np.eye(3), [np.ones((3, 2))])
+            gambles.Gamble(np.ones((3, 2)), (3,))
         with pytest.raises(ValidationError):
-            sdp.feasibility_margin(-np.eye(3), [np.full((3, 3), np.inf)])
+            gambles.Gamble(np.full((3, 3), np.inf), (3,))
 
     def test_asymmetric_gamble_warns_once(self):
+        # Gamble symmetrises and warns; the solves reuse its matrix unchecked
         f = np.eye(3) + np.triu(np.ones((3, 3)), 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sdp.feasibility_margin(-np.eye(3), [f])
+            a = gambles.AssessmentSet((gambles.Gamble(f, (3,)),), (3,))
+            assert gambles.is_p_coherent(a).p_coherent
         assert sum("input symmetrised" in str(w.message) for w in caught) == 1
+
+
+class TestLmiInput:
+    def test_mis_shaped_coefficients_are_rejected(self):
+        eye = np.eye(3)
+        for b, c, a in [
+            ([1.0], eye, np.ones((1, 3, 2))),
+            ([1.0], eye, np.ones((1, 2, 2))),
+            ([1.0, 1.0], eye, [eye, np.eye(2)]),
+            ([1.0], np.ones((3, 2)), np.ones((1, 3, 2))),
+            ([1.0], np.ones(3), np.ones((1, 3))),
+            ([1.0, 1.0], eye, eye[None]),
+        ]:
+            with pytest.raises(DimensionMismatchError):
+                sdp.maximize_lmi(b, c, a)
+
+    def test_non_finite_coefficients_are_rejected(self):
+        eye = np.eye(3)
+        imag_inf = np.eye(3, dtype=complex)
+        imag_inf[0, 1] = complex(0.0, np.inf)
+        for c, a in [
+            (eye, np.full((1, 3, 3), np.nan)),
+            (np.full((3, 3), np.inf), eye[None]),
+            (eye, imag_inf[None]),
+        ]:
+            with pytest.raises(ValidationError):
+                sdp.maximize_lmi([1.0], c, a)
+
+    def test_non_hermitian_coefficients_are_rejected_not_symmetrised(self):
+        eye = np.eye(3)
+        upper = np.triu(np.ones((3, 3)), 1)
+        for c, a in [
+            (eye, (eye + upper)[None]),
+            (eye + upper, eye[None]),
+            (eye, (1j * eye)[None]),
+            (eye, (eye + 1j * (upper + upper.T))[None]),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="Hermitian"):
+                    sdp.maximize_lmi([1.0], c, a)
+        # rounding-level asymmetry is within the tolerance and goes through
+        res = sdp.maximize_lmi([1.0], eye + 1e-12 * upper, eye[None])
+        assert res.status == sdp.STATUS_OPTIMAL and abs(res.value - 1.0) <= 1e-7
 
 
 class TestDeterminism:
     def test_bitwise_repeatability(self, witness_h):
-        prob = sdp.AffinePsdProblem(
-            objective=witness_h, equality_constraints=[(np.eye(4), 1.0)]
-        )
-        a = sdp.psd_minimize(prob)
-        b = sdp.psd_minimize(prob)
-        assert a.value == b.value
-        assert np.array_equal(a.X, b.X)
-        assert np.array_equal(a.duals, b.duals)
+        a, _ = unit_trace_minimum(witness_h)
+        b, _ = unit_trace_minimum(witness_h)
+        assert a.primal_value == b.primal_value and a.value == b.value
+        assert np.array_equal(a.primal_matrix, b.primal_matrix)
+        assert np.array_equal(a.y, b.y)
 
 
 class TestTolerancePlumbing:
@@ -391,7 +448,7 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("PCOH_SOLVER_TOL", "1e-6")
         assert sdp.solver_tolerance() == 1e-6
         monkeypatch.setenv("PCOH_SOLVER_TOL", "junk")
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             sdp.solver_tolerance()
 
     def test_argument_wins(self, monkeypatch):
