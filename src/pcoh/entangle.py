@@ -8,8 +8,10 @@ bound on the true minimum, reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import cmath
 import string
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -54,8 +56,24 @@ class PptResult:
 
 
 def _form_value(g_matrix, vecs):
-    v = linalg.kron_all(vecs)
+    v = reduce(np.multiply.outer, vecs).ravel()
     return float((v.conj() @ g_matrix @ v).real)
+
+
+def _complement_basis(v):
+    """Orthonormal basis of the complement of the unit vector ``v``, as columns.
+
+    These are the last ``d - 1`` columns of the Householder reflector
+    ``I - 2 w w^H / |w|^2``, ``w = v - alpha e_0``, ``alpha = -exp(i arg v_0)``,
+    which maps ``v`` to ``alpha e_0``.  As ``|w|^2 = 2 + 2 |v_0| >= 2``, no
+    vector needs a special case.
+    """
+    d = len(v)
+    w = v.copy()
+    w[0] += cmath.exp(1j * cmath.phase(v[0]))
+    b = np.outer(w, w[1:].conj() * (-2.0 / np.vdot(w, w).real))
+    b.reshape(-1)[d - 1 :: d] += 1.0  # the identity's entries (i + 1, i)
+    return b
 
 
 def _partial_form(tensor, vecs, keep):
@@ -76,34 +94,62 @@ def _partial_form(tensor, vecs, keep):
     return np.einsum(",".join(parts) + "->" + out, *operands)
 
 
-def _newton_step(tensor, vecs, val):
+def _swap_in(vecs, bases, swapped, head=None):
+    """Product of ``vecs`` with each factor in ``swapped`` replaced by its ``B_k``.
+
+    Indices run over the factors, then over the columns of each swapped
+    ``B_k``.  Given ``head``, a ``dims``-shaped tensor, every factor index is
+    contracted against it and only the column indices remain.
+    """
+    m = len(vecs)
+    operands, out = [], [m + k for k in swapped]
+    if head is None:
+        out = list(range(m)) + out
+    else:
+        operands = [head, list(range(m))]
+    for k, v in enumerate(vecs):
+        operands += [bases[k], [k, m + k]] if k in swapped else [v, [k]]
+    return np.einsum(*operands, out)
+
+
+def _newton_step(g_matrix, vecs, val):
     """Newton step of the form on the product of unit spheres, or ``None``.
 
     Each factor moves to ``v_k + B_k z_k`` (renormalised), ``B_k`` an
     orthonormal basis of the complement of ``v_k``, so phases are fixed.  To
     second order the form is ``val + 2 Re(g^H z) + z^H A z + Re(z^T C z)``;
     the step minimises that model and is ``None`` where its real Hessian is
-    not positive definite.
+    not positive definite.  Neither depends on which orthonormal ``B_k`` is
+    used.  With ``T`` the products that swap one factor for a column of its
+    ``B_k``, ``g = T^H G x`` and ``A = T^H G T - val I``; the ``(j, k)`` block
+    of ``C`` is ``x^H G`` on the products that swap both ``j`` and ``k``.
     """
-    bases = [np.linalg.qr(v[:, None], mode="complete")[0][:, 1:] for v in vecs]
-    offs = np.cumsum([0] + [b.shape[1] for b in bases])
+    m, dims = len(vecs), [len(v) for v in vecs]
+    bases = [_complement_basis(v) for v in vecs]
+    offs = [0]
+    for d in dims:
+        offs.append(offs[-1] + d - 1)
     size = offs[-1]
-    g = np.zeros(size, dtype=complex)
-    a = np.zeros((size, size), dtype=complex)
+    t = np.concatenate(
+        [_swap_in(vecs, bases, (k,)).reshape(-1, d - 1) for k, d in enumerate(dims)], axis=1
+    )
+    th = t.conj().T
+    gx = g_matrix @ reduce(np.multiply.outer, vecs).ravel()
+    g = th @ gx
+    a = th @ (g_matrix @ t)
+    a.reshape(-1)[:: size + 1] -= val
+    head = gx.conj().reshape(dims)
     c = np.zeros((size, size), dtype=complex)
-    for k, (vk, bk) in enumerate(zip(vecs, bases)):
-        sk = slice(offs[k], offs[k + 1])
-        gk = _partial_form(tensor, vecs, (k,))
-        g[sk] = bk.conj().T @ gk @ vk
-        a[sk, sk] = bk.conj().T @ gk @ bk - val * np.eye(bk.shape[1])
+    for k in range(m):
         for j in range(k):
-            vj, bj, sj = vecs[j], bases[j], slice(offs[j], offs[j + 1])
-            r = _partial_form(tensor, vecs, (j, k))
-            a[sj, sk] = bj.conj().T @ np.einsum("abcd,b,c->ad", r, vk.conj(), vj) @ bk
-            a[sk, sj] = a[sj, sk].conj().T
-            c[sj, sk] = bj.T @ np.einsum("abcd,a,b->cd", r, vj.conj(), vk.conj()) @ bk
-            c[sk, sj] = c[sj, sk].T
-    hess = np.block([[a.real + c.real, -a.imag - c.imag], [a.imag - c.imag, a.real - c.real]])
+            block = _swap_in(vecs, bases, (j, k), head)
+            c[offs[j] : offs[j + 1], offs[k] : offs[k + 1]] = block
+            c[offs[k] : offs[k + 1], offs[j] : offs[j + 1]] = block.T
+    hess = np.empty((2 * size, 2 * size))
+    hess[:size, :size] = a.real + c.real
+    hess[:size, size:] = -a.imag - c.imag
+    hess[size:, :size] = a.imag - c.imag
+    hess[size:, size:] = a.real - c.real
     lam, u = np.linalg.eigh(hess)
     if lam[0] <= 1e-12 * (1.0 + abs(lam[-1])):
         return None
@@ -120,7 +166,10 @@ def _minimize_alternating(g_matrix, dims, cfg):
     """Coordinate descent: each factor update is an exact smallest-eigenvector step.
 
     After each sweep a Newton step is taken when it lowers the form, so a
-    descent that would crawl towards its minimum converges quadratically.
+    descent that would crawl towards its minimum converges quadratically.  A
+    sweep's value is the smallest eigenvalue of its last update, which is the
+    form at the updated factors; the returned value is the form evaluated
+    once more at the best argmin.
     """
     m = len(dims)
     rng = np.random.default_rng(cfg.seed)
@@ -135,9 +184,10 @@ def _minimize_alternating(g_matrix, dims, cfg):
         prev = np.inf
         for _ in range(cfg.refinement_iterations):
             for j in range(m):
-                vecs[j] = np.linalg.eigh(_partial_form(tensor, vecs, (j,)))[1][:, 0]
-            val = _form_value(g_matrix, vecs)
-            step = _newton_step(tensor, vecs, val)
+                lam, u = np.linalg.eigh(_partial_form(tensor, vecs, (j,)))
+                vecs[j] = u[:, 0]
+            val = float(lam[0])
+            step = _newton_step(g_matrix, vecs, val)
             if step is not None:
                 step_val = _form_value(g_matrix, step)
                 if step_val < val:
@@ -148,15 +198,17 @@ def _minimize_alternating(g_matrix, dims, cfg):
         if val < best_val:
             best_val = val
             best_states = tuple(vecs)
-    return float(best_val), best_states
+    return _form_value(g_matrix, best_states), best_states
 
 
 def product_state_minimum(g: Gamble, cfg: ProductStateSearchConfig | None = None):
     """Smallest sampled value of the quadratic form over product states.
 
-    Returns ``(value, argmin)``; the value upper-bounds the true minimum.
-    A single factor is solved exactly by its smallest eigenpair; several
-    factors get a seeded alternating eigenvector descent with restarts.
+    Returns ``(value, argmin)``: ``argmin`` holds one unit vector per factor
+    and ``value`` is the form evaluated at their product, so it upper-bounds
+    the true minimum.  A single factor is solved exactly by its smallest
+    eigenpair; several factors get a seeded alternating eigenvector descent
+    with restarts.
     """
     cfg = cfg or ProductStateSearchConfig()
     if any(d < 2 for d in g.dims):
@@ -217,16 +269,19 @@ def dutch_book_certificate(
     cfg: ProductStateSearchConfig | None = None,
     witness_prime=None,
 ):
-    """Certificate that an entangled two-qubit state is classically incoherent.
+    """Certificate that an entangled bipartite state is classically incoherent.
 
     When the partial transpose fails, builds a witness gamble W'' that the
     state's credal dual accepts (Tr(W'' rho) >= 0) while the search oracle
-    finds only negative values on product states.  Returns ``None`` for PPT
-    states.  ``witness_prime`` overrides the construction with a caller-chosen
+    finds only negative values on product states.  Any bipartite NPT state
+    gets one: the default W' = -(|phi><phi|)^T_B / gain has
+    Tr(W'(A (x) B)) = -<phi|A (x) B^T|phi> / gain <= 0 on every product of
+    PSD A and B, whatever the factor dims.  Returns ``None`` for PPT states.
+    ``witness_prime`` overrides the construction with a caller-chosen
     desirable gamble W' (normalised to Tr(W' rho) = 1 when built here).
     """
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionMismatchError("certificate construction expects a two-qubit state")
+    if len(rho.dims) != 2:
+        raise DimensionMismatchError("certificate construction expects a bipartite state")
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
     cfg = cfg or ProductStateSearchConfig()
@@ -238,12 +293,13 @@ def dutch_book_certificate(
         w_prime = -w / gain
     else:
         w_prime = linalg.as_hermitian(witness_prime)
-    trace_value = float(np.trace((w_prime - epsilon * np.eye(4)) @ rho.matrix).real)
+    w_shifted = w_prime - epsilon * np.eye(rho.dim)
+    trace_value = float(np.trace(w_shifted @ rho.matrix).real)
     if trace_value < 0.0:
         raise ValidationError(
             f"epsilon={epsilon} erases the desirability margin; choose a smaller shift"
         )
-    shifted = Gamble(w_prime - epsilon * np.eye(4), (2, 2))
+    shifted = Gamble(w_shifted, rho.dims)
     sup, argmax = product_state_maximum(shifted, cfg)
     return WitnessCertificate(
         gamble=shifted,

@@ -100,21 +100,23 @@ class AssessmentSet:
     def for_single_state(cls, rho: DensityState) -> "AssessmentSet":
         """Finite assessment set whose credal dual is exactly {rho}.
 
-        Uses the gambles +/-(E_k - Tr(E_k rho) I) over a Hermitian operator
-        basis E_k, which pin every expectation and hence the dual point.
+        Uses the gambles g_k = E_k - Tr(E_k rho) I over a Hermitian operator
+        basis E_k, plus the one gamble -sum_k g_k.  Their cone is the span of
+        the g_k (sum c_k g_k = sum (c_k + t) g_k + t (-sum g_k) with
+        t = max(0, -min c_k)), which pins every expectation and hence the dual
+        point.  The pairs +/-g_k span the same cone but would leave the
+        interior-point solve no interior.
         """
         n = rho.dim
-        basis = _hermitian_basis(n)
         eye = np.eye(n)
-        gambles = []
-        for e in basis:
-            c = float(np.trace(e @ rho.matrix).real)
-            g = e - c * eye
-            if np.linalg.norm(g) < 1e-14:
-                continue
-            gambles.append(Gamble(g, rho.dims))
-            gambles.append(Gamble(-g, rho.dims))
-        return cls(gambles=tuple(gambles), dims=rho.dims)
+        gs = []
+        for e in _hermitian_basis(n):
+            g = e - float(np.trace(e @ rho.matrix).real) * eye
+            if np.linalg.norm(g) >= 1e-14:
+                gs.append(g)
+        if gs:
+            gs.append(-sum(gs))
+        return cls(gambles=tuple(Gamble(g, rho.dims) for g in gs), dims=rho.dims)
 
 
 def _hermitian_basis(n: int) -> list:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_unit_vector, random_unitary
 from pcoh import entangle, gambles, linalg
-from pcoh.errors import ValidationError
+from pcoh.errors import DimensionMismatchError, ValidationError
 from pcoh.fixtures import bell_density_matrix
 from pcoh.quantum import DensityState
 
@@ -24,6 +26,16 @@ def noisy_bell(rng, noise):
     u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
     rotated = u @ bell_density_matrix() @ u.conj().T
     return DensityState((1.0 - noise) * rotated + noise * np.eye(4) / 4.0, (2, 2))
+
+
+def npt_state(rng, dims):
+    """Noisy random pure state on a bipartite split, redrawn until its partial transpose fails."""
+    n = int(np.prod(dims))
+    while True:
+        psi = random_unit_vector(rng, n)
+        rho = DensityState(0.8 * np.outer(psi, psi.conj()) + 0.2 * np.eye(n) / n, dims)
+        if not entangle.ppt_check(rho).is_ppt:
+            return rho
 
 
 def angle_grid_minimum(g_matrix, res=24):
@@ -103,6 +115,67 @@ class TestProductStateMinimum:
         full, _ = entangle.product_state_minimum(g, entangle.ProductStateSearchConfig())
         assert abs(short - full) <= 1e-12 * (1.0 + abs(full))
         assert abs(gambles.gamble_eval(g, list(argmin)) - short) <= 1e-10
+
+
+class TestSearchInvariants:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)])
+    def test_value_is_the_form_at_a_unit_argmin(self, dims, seed):
+        rng = np.random.default_rng([seed, *dims])
+        g = gambles.Gamble(random_hermitian(rng, int(np.prod(dims))), dims)
+        value, argmin = entangle.product_state_minimum(
+            g, entangle.ProductStateSearchConfig(seed=seed)
+        )
+        assert [len(v) for v in argmin] == list(dims)
+        assert max(abs(np.linalg.norm(v) - 1.0) for v in argmin) <= 1e-12
+        assert abs(gambles.gamble_eval(g, list(argmin)) - value) <= 1e-12 * (1.0 + abs(value))
+        assert value >= np.linalg.eigvalsh(g.matrix)[0] - 1e-9
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda d: st.lists(
+                st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=d, max_size=d
+            )
+        )
+    )
+    @example([(0.0, 0.0), (0.6, -0.8)])
+    @example([(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @example([(1.0, 0.0), (0.0, 0.0)])
+    @example([(-1.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+    @example([(0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+    @example([(-0.6, -0.8), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+    def test_complement_basis_is_orthonormal_and_orthogonal(self, entries):
+        v = np.array([complex(re, im) for re, im in entries])
+        assume(np.linalg.norm(v) > 1e-3)
+        v /= np.linalg.norm(v)
+        b = entangle._complement_basis(v)
+        assert b.shape == (len(v), len(v) - 1)
+        assert np.abs(b.conj().T @ b - np.eye(len(v) - 1)).max() <= 1e-13
+        assert np.abs(b.conj().T @ v).max() <= 1e-13
+
+    def test_search_makes_no_qr_block_or_kron_call(self, monkeypatch):
+        counts = dict.fromkeys(("qr", "block", "kron", "kron_all", "eigh"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np, "block", counting("block", np.block))
+        monkeypatch.setattr(np, "kron", counting("kron", np.kron))
+        monkeypatch.setattr(linalg, "kron_all", counting("kron_all", linalg.kron_all))
+        rng = np.random.default_rng(31)
+        for dims in ((3, 3), (2, 2, 2)):
+            g = gambles.Gamble(random_hermitian(rng, int(np.prod(dims))), dims)
+            entangle.product_state_minimum(g, entangle.ProductStateSearchConfig(seed=4))
+        eigh_calls = counts.pop("eigh")
+        assert eigh_calls > 0  # the search ran under the counters
+        assert counts == {"qr": 0, "block": 0, "kron": 0, "kron_all": 0}
 
 
 class TestVerifyWitness:
@@ -188,6 +261,26 @@ class TestDutchBookCertificate:
     def test_certificate_enters_natural_extension(self, bell_state, cfg):
         cert = entangle.dutch_book_certificate(bell_state, epsilon=0.25, cfg=cfg)
         assert entangle.certificate_accepted(bell_state, cert)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_any_bipartite_npt_state(self, dims):
+        # Tr(W'(A (x) B)) <= 0 on PSD products, so the supremum is -epsilon at most
+        rng = np.random.default_rng([17, *dims])
+        for _ in range(2):
+            rho = npt_state(rng, dims)
+            cert = entangle.dutch_book_certificate(
+                rho, epsilon=1e-3, cfg=entangle.ProductStateSearchConfig(seed=2)
+            )
+            assert cert.gamble.dims == dims
+            assert abs(cert.trace_value - np.trace(cert.gamble.matrix @ rho.matrix).real) <= 1e-12
+            assert cert.trace_value >= 0.0
+            assert cert.product_sup <= -1e-3 + 1e-12
+            assert entangle.certificate_accepted(rho, cert)
+
+    def test_tripartite_state_rejected(self):
+        rho = DensityState(np.eye(8) / 8.0, (2, 2, 2))
+        with pytest.raises(DimensionMismatchError):
+            entangle.dutch_book_certificate(rho)
 
 
 class TestChsh:

@@ -337,6 +337,52 @@ class TestPrevisions:
                 assert float(np.trace(g @ rho).real) >= -1e-6
 
 
+def singleton_case(seed, dims):
+    """A full-rank state on ``dims`` and a random Hermitian gamble F."""
+    n = int(np.prod(dims))
+    rng = np.random.default_rng([seed, n, len(dims)])
+    rho = 0.95 * random_density(rng, n) + 0.05 * np.eye(n) / n
+    return DensityState(rho, dims), random_hermitian(rng, n)
+
+
+SINGLETON_DIMS = [(2, 2), (2, 3), (4,), (6,), (3, 3)]
+# every dims has a seed whose pair-form set (+/-g_k) ended a prevision or
+# membership solve in numerical_failure
+SINGLETON_SEEDS = [0, 2, 3, 5, 6, 8]
+
+
+class TestSingletonSumForm:
+    @pytest.mark.parametrize("dims", [(2, 2), (3,), (2, 3)])
+    def test_basis_gambles_plus_their_negated_sum(self, dims):
+        rho, _ = singleton_case(1, dims)
+        mats = gambles.AssessmentSet.for_single_state(rho).matrices
+        assert len(mats) == rho.dim**2 + 1
+        assert np.array_equal(mats[-1], -sum(mats[:-1]))
+        values = np.einsum("kij,ji->k", mats, rho.matrix).real
+        assert np.abs(values).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", SINGLETON_SEEDS)
+    @pytest.mark.parametrize("dims", SINGLETON_DIMS)
+    def test_previsions_equal_the_expectation(self, dims, seed):
+        rho, f = singleton_case(seed, dims)
+        single = gambles.AssessmentSet.for_single_state(rho)
+        value = float(np.trace(f @ rho.matrix).real)
+        g = gambles.Gamble(f, dims)
+        for price in (gambles.lower_prevision(single, g), gambles.upper_prevision(single, g)):
+            assert abs(price - value) <= 1e-6 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("member", [True, False], ids=["member", "non-member"])
+    @pytest.mark.parametrize("seed", SINGLETON_SEEDS)
+    @pytest.mark.parametrize("dims", SINGLETON_DIMS)
+    def test_membership_follows_the_sign_of_the_expectation(self, dims, seed, member):
+        rho, f = singleton_case(seed, dims)
+        single = gambles.AssessmentSet.for_single_state(rho)
+        # Tr(F' rho) = +0.3 for a member, -0.3 for a non-member
+        shift = float(np.trace(f @ rho.matrix).real) - (0.3 if member else -0.3)
+        g = gambles.Gamble(f - shift * np.eye(rho.dim), dims)
+        assert gambles.natural_extension_contains(single, g) is member
+
+
 class TestCredalSet:
     def test_vacuous_contains_maximally_mixed(self):
         c = gambles.CredalSet(gambles.AssessmentSet.vacuous((2, 2)))

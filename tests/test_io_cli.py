@@ -205,6 +205,18 @@ class TestCliWitness:
         assert rc == 0
         assert rep["results"]["certificate"] is not None
 
+    def test_qubit_qutrit_certificate(self, tmp_path, capsys):
+        v = np.zeros(6)
+        v[0] = v[4] = 1.0 / np.sqrt(2.0)  # (|0,0> + |1,1>)/sqrt(2)
+        rho = 0.9 * np.outer(v, v) + 0.1 * np.eye(6) / 6.0
+        io.dump_json(io.state_to_json(DensityState(rho, (2, 3))), tmp_path / "qutrit.json")
+        rc, rep = run_json(capsys, ["witness", "-i", str(tmp_path / "qutrit.json")])
+        assert rc == 0
+        assert rep["results"]["ppt"] is False
+        cert = rep["results"]["certificate"]
+        assert cert["trace_value"] >= 0.0
+        assert cert["product_sup"] <= -cert["epsilon"] + 1e-12
+
 
 class TestCliChsh:
     def test_bell_value(self, workdir, capsys):
