@@ -208,7 +208,9 @@ def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
 
 
 def random_product_support(dims, count: int, seed: int) -> list:
-    """Deterministic list of Haar-ish random product atoms for a given seed."""
+    """Deterministic list of Haar-ish random product atoms for a nonnegative integer seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     support = []
     for _ in range(count):

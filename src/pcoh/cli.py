@@ -9,9 +9,8 @@ Subcommands map one-to-one onto the library surface::
     pcoh sos       [--input poly.json | --motzkin classic|soft]
     pcoh charge    -i state.json [--support sup.json | --random K | --bell-table]
 
-Exit codes: 0 success, 2 domain/validation error, 3 solver failure.  The
-environment variable ``PCOH_SOLVER_TOL`` overrides the default solver
-tolerance of 1e-9.  All numeric text output carries 10 significant digits.
+Exit codes: 0 success, 2 domain/validation error, 3 solver failure.  All
+numeric text output carries 10 significant digits.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def _print_report(report: RunReport, args, lines):
 def _cmd_coherence(args) -> RunReport:
     raw = _read_file(args.input)
     assessments = io.assessments_from_json(json.loads(raw))
-    verdict = gambles.is_p_coherent(assessments, tol=args.tol)
+    verdict = gambles.is_p_coherent(assessments)
     report = RunReport("coherence", _digest(raw), args.seed)
     report.results = {
         "p_coherent": verdict.p_coherent,
@@ -137,9 +136,9 @@ def _cmd_prevision(args) -> RunReport:
     graw = _read_file(args.gamble)
     f = io.gamble_from_json(json.loads(graw), dims=assessments.dims)
     if args.side == "lower":
-        value = gambles.lower_prevision(assessments, f, tol=args.tol)
+        value = gambles.lower_prevision(assessments, f)
     else:
-        value = gambles.upper_prevision(assessments, f, tol=args.tol)
+        value = gambles.upper_prevision(assessments, f)
     report = RunReport("prevision", _digest(raw, graw, args.side), args.seed)
     report.results = {"side": args.side, "value": value}
     return report, [f"{args.side} prevision: {_fmt(value)}"]
@@ -174,6 +173,8 @@ def _cmd_witness(args) -> RunReport:
 
 
 def _cmd_chsh(args) -> RunReport:
+    if args.sweep < 0:
+        raise ValidationError(f"--sweep must be nonnegative, got {args.sweep}")
     state, raw = _load_state(args)
     angles = tuple(args.angles) if args.angles else _DEFAULT_ANGLES
     value = entangle.chsh_value(state, angles)
@@ -211,7 +212,7 @@ def _cmd_sos(args) -> RunReport:
             raise ValidationError("provide --input POLY.json or --motzkin classic|soft")
         raw = _read_file(args.input)
         poly = io.poly_from_json(json.loads(raw))
-    verdict = realsos.sos_check_detail(poly, tol=args.tol)
+    verdict = realsos.sos_check_detail(poly)
     report = RunReport("sos", _digest(raw), args.seed)
     report.results = {"is_sos": verdict.is_sos, "margin": verdict.margin}
     lines = [
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, state_fixture=False):
         p.add_argument("-i", "--input", help="input JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         if state_fixture:
             p.add_argument("--bell", action="store_true", help="use the built-in Bell state")

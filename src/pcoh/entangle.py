@@ -22,17 +22,19 @@ from .gambles import AssessmentSet, Gamble, gamble_eval, natural_extension_conta
 from .quantum import DensityState
 
 _LETTERS = string.ascii_letters
+_RESTARTS = 8
+_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
 class ProductStateSearchConfig:
-    refinement_iterations: int = 200
-    restarts: int = 8
+    """Seed of the product-state search: a nonnegative integer."""
+
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 4:
-            raise ValidationError("restarts must be at least 4")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def _newton_step(g_matrix, vecs, val):
     return step
 
 
-def _minimize_alternating(g_matrix, dims, cfg):
+def _minimize_alternating(g_matrix, dims, seed):
     """Coordinate descent: each factor update is an exact smallest-eigenvector step.
 
     After each sweep a Newton step is taken when it lowers the form, so a
@@ -172,17 +174,17 @@ def _minimize_alternating(g_matrix, dims, cfg):
     once more at the best argmin.
     """
     m = len(dims)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     tensor = g_matrix.reshape(tuple(dims) + tuple(dims))
     best_val = np.inf
     best_states = None
-    for _ in range(cfg.restarts):
+    for _ in range(_RESTARTS):
         vecs = []
         for d in dims:
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs.append(v / np.linalg.norm(v))
         prev = np.inf
-        for _ in range(cfg.refinement_iterations):
+        for _ in range(_MAX_SWEEPS):
             for j in range(m):
                 lam, u = np.linalg.eigh(_partial_form(tensor, vecs, (j,)))
                 vecs[j] = u[:, 0]
@@ -207,8 +209,8 @@ def product_state_minimum(g: Gamble, cfg: ProductStateSearchConfig | None = None
     Returns ``(value, argmin)``: ``argmin`` holds one unit vector per factor
     and ``value`` is the form evaluated at their product, so it upper-bounds
     the true minimum.  A single factor is solved exactly by its smallest
-    eigenpair; several factors get a seeded alternating eigenvector descent
-    with restarts.
+    eigenpair; several factors get a seeded alternating eigenvector descent:
+    8 restarts of at most 200 sweeps each.
     """
     cfg = cfg or ProductStateSearchConfig()
     if any(d < 2 for d in g.dims):
@@ -216,7 +218,7 @@ def product_state_minimum(g: Gamble, cfg: ProductStateSearchConfig | None = None
     if len(g.dims) < 2:
         eig = linalg.hermitian_eigen(g.matrix)
         return float(eig.values[0]), (eig.vectors[:, 0],)
-    return _minimize_alternating(g.matrix, g.dims, cfg)
+    return _minimize_alternating(g.matrix, g.dims, cfg.seed)
 
 
 def product_state_maximum(g: Gamble, cfg: ProductStateSearchConfig | None = None):
@@ -387,7 +389,7 @@ def real_form_expand_check(g: Gamble, samples: int = 1000, seed: int = 0) -> flo
     return worst
 
 
-def certificate_accepted(rho: DensityState, cert: WitnessCertificate, tol=None) -> bool:
+def certificate_accepted(rho: DensityState, cert: WitnessCertificate) -> bool:
     """Check the shifted witness enters the natural extension of the rho-singleton set."""
     single = AssessmentSet.for_single_state(rho)
-    return natural_extension_contains(single, cert.gamble, tol=tol)
+    return natural_extension_contains(single, cert.gamble)

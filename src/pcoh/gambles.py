@@ -174,18 +174,16 @@ def gamble_eval(g: Gamble, states) -> float:
     return float(val.real)
 
 
-def _shift_lmi(a: AssessmentSet, f0, cap: float, tol=None):
+def _shift_lmi(a: AssessmentSet, f0, cap: float):
     """max t s.t. F0 - t I - sum lam_i G_i >= 0, lam >= 0 and t <= cap."""
     p = len(a.gambles)
     b = np.zeros(1 + p)
     b[0] = 1.0
     a_main = np.concatenate([np.eye(a.dim, dtype=complex)[None], a.matrices])
-    return sdp.maximize_lmi(
-        b, f0, a_main, nonneg=tuple(range(1, 1 + p)), caps=((0, cap),), tol=tol
-    )
+    return sdp.maximize_lmi(b, f0, a_main, nonneg=tuple(range(1, 1 + p)), caps=((0, cap),))
 
 
-def _feasibility(a: AssessmentSet, f0, tol=None):
+def _feasibility(a: AssessmentSet, f0):
     """Is F0 = sum lam_i G_i + P for some lam >= 0 and PSD P?
 
     Solves for the margin, the largest t <= 1 with F0 - t I - sum lam_i G_i
@@ -197,7 +195,7 @@ def _feasibility(a: AssessmentSet, f0, tol=None):
     Tr(F0 sigma) < 0.  A margin in between, or a failed re-check, raises
     :class:`SolverFailure`.
     """
-    res = _shift_lmi(a, f0, 1.0, tol=tol)
+    res = _shift_lmi(a, f0, 1.0)
     if res.status != sdp.STATUS_OPTIMAL:
         raise SolverFailure(
             f"feasibility solve ended with status {res.status}", residuals=res.residuals
@@ -220,20 +218,20 @@ def _feasibility(a: AssessmentSet, f0, tol=None):
     return margin, None, sigma / trace
 
 
-def is_p_coherent(a: AssessmentSet, tol=None) -> CoherenceVerdict:
+def is_p_coherent(a: AssessmentSet) -> CoherenceVerdict:
     """Check that no positive combination of assessments plus a PSD form equals -1.
 
     Incoherence is the feasibility of -I - sum lam_i G_i >= 0 with lam >= 0;
     the optimal shift of that system is reported as the margin, and an
     incoherent set comes with the minimal-stake multiplier certificate.
     """
-    margin, lam, _ = _feasibility(a, -np.eye(a.dim, dtype=complex), tol=tol)
+    margin, lam, _ = _feasibility(a, -np.eye(a.dim, dtype=complex))
     if lam is None:
         return CoherenceVerdict(True, None, margin)
-    return CoherenceVerdict(False, _minimal_dutch_book(a, tol=tol), margin)
+    return CoherenceVerdict(False, _minimal_dutch_book(a), margin)
 
 
-def _minimal_dutch_book(a: AssessmentSet, tol=None):
+def _minimal_dutch_book(a: AssessmentSet):
     """Multipliers of least total stake realising -I = sum lam_i G_i + PSD.
 
     The solver's multipliers are checked again before they are returned:
@@ -242,7 +240,7 @@ def _minimal_dutch_book(a: AssessmentSet, tol=None):
     """
     p = len(a.gambles)
     eye = np.eye(a.dim, dtype=complex)
-    res = sdp.maximize_lmi(-np.ones(p), -eye, a.matrices, nonneg=tuple(range(p)), tol=tol)
+    res = sdp.maximize_lmi(-np.ones(p), -eye, a.matrices, nonneg=tuple(range(p)))
     if res.status != sdp.STATUS_OPTIMAL:
         raise SolverFailure(
             f"certificate polish ended with status {res.status}", residuals=res.residuals
@@ -261,11 +259,11 @@ def _minimal_dutch_book(a: AssessmentSet, tol=None):
     return lam
 
 
-def natural_extension_contains(a: AssessmentSet, f: Gamble, tol=None) -> bool:
+def natural_extension_contains(a: AssessmentSet, f: Gamble) -> bool:
     """Membership of f in posi(PSD forms plus assessments)."""
     if f.dims != a.dims:
         raise DimensionMismatchError("gamble dims do not match the assessment set")
-    return _feasibility(a, f.matrix, tol=tol)[1] is not None
+    return _feasibility(a, f.matrix)[1] is not None
 
 
 def _certifies_coherence(a: AssessmentSet, rho) -> bool:
@@ -281,7 +279,7 @@ def _certifies_coherence(a: AssessmentSet, rho) -> bool:
     return bool(np.all(values >= -_CERT_TOL * (1.0 + np.linalg.norm(mats, axis=(1, 2)))))
 
 
-def _solve_prevision(a: AssessmentSet, f: Gamble, tol=None):
+def _solve_prevision(a: AssessmentSet, f: Gamble):
     """The prevision solve, on P-coherent assessments only.
 
     The solve runs first.  When its optimising density matrix certifies
@@ -290,9 +288,9 @@ def _solve_prevision(a: AssessmentSet, f: Gamble, tol=None):
     """
     if f.dims != a.dims:
         raise DimensionMismatchError("gamble dims do not match the assessment set")
-    res = _shift_lmi(a, f.matrix, float(np.linalg.norm(f.matrix)) + 1.0, tol=tol)
+    res = _shift_lmi(a, f.matrix, float(np.linalg.norm(f.matrix)) + 1.0)
     if a.gambles and not _certifies_coherence(a, res.primal_matrix):
-        if not is_p_coherent(a, tol=tol).p_coherent:
+        if not is_p_coherent(a).p_coherent:
             raise ValidationError("previsions are defined for P-coherent assessments only")
     if res.status != sdp.STATUS_OPTIMAL:
         raise SolverFailure(
@@ -301,14 +299,14 @@ def _solve_prevision(a: AssessmentSet, f: Gamble, tol=None):
     return res
 
 
-def lower_prevision(a: AssessmentSet, f: Gamble, tol=None) -> float:
+def lower_prevision(a: AssessmentSet, f: Gamble) -> float:
     """Supremum buying price of f against the assessments.
 
     Solved as max gamma with F - gamma I - sum lam_i G_i PSD and lam >= 0;
     the optimising density matrix of the dual programme is recomputed as a
     strong-duality cross-check.
     """
-    res = _solve_prevision(a, f, tol=tol)
+    res = _solve_prevision(a, f)
     gamma = float(res.y[0])
     rho = res.primal_matrix
     dual_value = float(np.trace(f.matrix @ rho).real)
@@ -320,14 +318,14 @@ def lower_prevision(a: AssessmentSet, f: Gamble, tol=None) -> float:
     return gamma
 
 
-def upper_prevision(a: AssessmentSet, f: Gamble, tol=None) -> float:
+def upper_prevision(a: AssessmentSet, f: Gamble) -> float:
     """Infimum selling price: the conjugate of the lower prevision."""
-    return -lower_prevision(a, -f, tol=tol)
+    return -lower_prevision(a, -f)
 
 
-def prevision_witness(a: AssessmentSet, f: Gamble, tol=None) -> np.ndarray:
+def prevision_witness(a: AssessmentSet, f: Gamble) -> np.ndarray:
     """Density matrix attaining the lower prevision (the dual optimiser)."""
-    return _solve_prevision(a, f, tol=tol).primal_matrix
+    return _solve_prevision(a, f).primal_matrix
 
 
 def credal_contains(c: CredalSet, rho: DensityState, slack: float = 1e-9) -> bool:

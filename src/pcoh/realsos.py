@@ -174,7 +174,7 @@ def _sym_from_coords(v):
     return m + np.triu(m, 1).T
 
 
-def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
+def sos_check_detail(p: BiPoly) -> SosVerdict:
     """Maximise the Gram spectrum margin subject to coefficient matching.
 
     The polynomial is a sum of squares iff some coefficient-matched Gram
@@ -200,7 +200,7 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     b[0] = 1.0
     cap = 1.0 + float(np.linalg.norm(q0))
     a_main = np.concatenate([np.eye(10)[None], -null_basis])
-    res = sdp.maximize_lmi(b, q0, a_main, caps=((0, cap),), tol=tol)
+    res = sdp.maximize_lmi(b, q0, a_main, caps=((0, cap),))
     if res.status != sdp.STATUS_OPTIMAL:
         raise SolverFailure(
             f"Gram margin solve ended with status {res.status}", residuals=res.residuals
@@ -248,9 +248,9 @@ def sos_check_detail(p: BiPoly, tol=None) -> SosVerdict:
     return SosVerdict(False, margin, None, moments, value)
 
 
-def sos_check(p: BiPoly, tol=None):
+def sos_check(p: BiPoly):
     """Gram certificate if the polynomial is a sum of squares, else None."""
-    verdict = sos_check_detail(p, tol=tol)
+    verdict = sos_check_detail(p)
     return verdict.gram if verdict.is_sos else None
 
 

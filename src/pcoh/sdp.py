@@ -19,7 +19,6 @@ Every solve is deterministic: fixed iteration order, no randomisation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import HERMITICITY_WARN_TOL, as_hermitian
 
-DEFAULT_TOL = 1e-9
+_TARGET_RESIDUAL = 1e-9
 MAX_ITERATIONS = 200
 _STEP_FRACTION = 0.98
 _ACCEPTABLE_RESIDUAL = 1e-7
@@ -38,19 +37,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
-
-
-def solver_tolerance(override: Optional[float] = None) -> float:
-    """Effective complementarity target: argument, else PCOH_SOLVER_TOL, else 1e-9."""
-    if override is not None:
-        return float(override)
-    env = os.environ.get("PCOH_SOLVER_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValidationError(f"PCOH_SOLVER_TOL is not a float: {env!r}") from exc
-    return DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +118,17 @@ def _max_step(inv_factor, d, p_lin, d_lin):
     return -1.0 / worst if worst < 0.0 else np.inf
 
 
-def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
+def _solve_core(c_psd, a_psd, c_lin, a_lin, b):
     """Predictor-corrector interior point over one PSD block and one orthant.
 
     Solves min <C,X> + c_lin.x  s.t.  Tr(A_k X) + (a_lin x)_k = b_k, X >= 0
     and x >= 0.  ``c_psd`` is the (n, n) cost, ``a_psd`` the (m, n, n) stack
     of symmetric A_k and ``a_lin`` the (m, n_l) constraint matrix of the
     orthant.  Several PSD blocks go in as one block-diagonal block: the KSH
-    direction keeps X and S block-diagonal when C and every A_k are.
+    direction keeps X and S block-diagonal when C and every A_k are.  It stops
+    once the relative primal and dual infeasibility and gap are all at most
+    1e-9; after MAX_ITERATIONS, or a stall, it returns its best iterate, which
+    counts as optimal when those are at most 1e-7.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -170,7 +159,7 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
 
     best = None
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         gap = _inner((X, x), (S, s))
         mu = gap / nu
         ax = apply_a(X, x)
@@ -190,7 +179,7 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol, max_iter=MAX_ITERATIONS):
         if best is None or worst < best[0]:
             best = (worst, state)
 
-        if worst <= tol:
+        if worst <= _TARGET_RESIDUAL:
             return _CoreResult(STATUS_OPTIMAL, *state)
 
         # ray-based infeasibility heuristics
@@ -326,7 +315,6 @@ def maximize_lmi(
     a_main: np.ndarray,
     nonneg: Sequence[int] = (),
     caps: Sequence[tuple] = (),
-    tol: Optional[float] = None,
 ) -> LmiResult:
     """Maximise ``b . y`` subject to ``c_main - sum_k y_k a_main[k] >= 0``.
 
@@ -343,7 +331,6 @@ def maximize_lmi(
     below, so no y satisfies the LMI; ``infeasible`` means it has no feasible
     X, shown by a direction in y that raises b . y and keeps the LMI.
     """
-    tol = solver_tolerance(tol)
     b = np.asarray(b, dtype=float)
     m = len(b)
     if len(a_main) != m:
@@ -359,7 +346,7 @@ def maximize_lmi(
         a_lin[idx, j] = 1.0
     c_lin = np.array([0.0] * len(nonneg) + [float(ub) for _, ub in caps])
 
-    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b, tol)
+    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b)
     scale = 2.0 if embed else 1.0
     primal = scale * (_unembed(res.X, n) if embed else as_hermitian(res.X, warn_tol=np.inf))
     return LmiResult(

@@ -115,6 +115,11 @@ class TestFitSignedCharge:
         assert residual <= 1e-10
         assert np.allclose(charge.weights, [0.25, 0.5, 0.25], atol=1e-9)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_random_support_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            charges.random_product_support((2, 2), 4, seed)
+
     def test_empty_support_rejected(self, bell_state):
         with pytest.raises(ValidationError):
             charges.fit_signed_charge(bell_state, [])

@@ -99,20 +99,24 @@ class TestProductStateMinimum:
         # block structure makes the true minimum the smaller local minimum
         g = gambles.Gamble(np.diag([1.0, 2.0, 3.0, -1.0, 0.5, 4.0]), (2, 3))
         value, argmin = entangle.product_state_minimum(
-            g, entangle.ProductStateSearchConfig(restarts=8, seed=1)
+            g, entangle.ProductStateSearchConfig(seed=1)
         )
         assert abs(value + 1.0) <= 1e-8
         assert abs(gambles.gamble_eval(g, list(argmin)) - value) <= 1e-10
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            entangle.ProductStateSearchConfig(seed=seed)
+
     @pytest.mark.parametrize("dims,seed", [((3, 3), 15), ((2, 2, 2), 1)])
-    def test_few_sweeps_reach_the_converged_minimum(self, dims, seed):
+    def test_few_sweeps_reach_the_converged_minimum(self, dims, seed, monkeypatch):
         # plain alternating descent is still 3e-6 (3,3) and 4e-3 (2,2,2) above
         # its limit after 15 sweeps on these forms; the Newton step closes it
         g = gambles.Gamble(random_hermitian(np.random.default_rng(seed), int(np.prod(dims))), dims)
-        short, argmin = entangle.product_state_minimum(
-            g, entangle.ProductStateSearchConfig(refinement_iterations=15)
-        )
         full, _ = entangle.product_state_minimum(g, entangle.ProductStateSearchConfig())
+        monkeypatch.setattr(entangle, "_MAX_SWEEPS", 15)
+        short, argmin = entangle.product_state_minimum(g, entangle.ProductStateSearchConfig())
         assert abs(short - full) <= 1e-12 * (1.0 + abs(full))
         assert abs(gambles.gamble_eval(g, list(argmin)) - short) <= 1e-10
 
@@ -248,7 +252,7 @@ class TestDutchBookCertificate:
 
     def test_noisy_bell_family(self):
         rng = np.random.default_rng(8)
-        small = entangle.ProductStateSearchConfig(restarts=4, seed=2)
+        small = entangle.ProductStateSearchConfig(seed=2)
         for k in range(20):
             rho = noisy_bell(rng, float(rng.uniform(0.0, 1.0 / 3.0)))
             assert not entangle.ppt_check(rho).is_ppt

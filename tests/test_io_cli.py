@@ -336,6 +336,25 @@ class TestCliContract:
     def test_exit_code_on_oversized_epsilon(self, workdir):
         assert cli.main(["witness", "-i", str(workdir / "bell.json"), "--epsilon", "2.0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--bell", "--seed", "-1"],
+        ["charge", "--bell", "--random", "4", "--seed", "-1"],
+        ["chsh", "--bell", "--sweep", "-3"],
+    ])
+    def test_negative_seed_or_sweep_exits_2(self, capsys, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1e-3", "junk"])
+    def test_solver_tolerance_comes_from_no_environment_variable(self, capsys, monkeypatch, value):
+        argv = ["sos", "--motzkin", "soft"]
+        rc, plain = run_json(capsys, argv)
+        monkeypatch.setenv("PCOH_SOLVER_TOL", value)
+        rc_env, with_env = run_json(capsys, argv)
+        assert rc == rc_env == 0
+        assert with_env["results"] == plain["results"]
+
     def test_reports_deterministic_given_seed(self, workdir, capsys):
         rc1, rep1 = run_json(
             capsys, ["charge", "-i", str(workdir / "bell.json"), "--random", "8", "--seed", "3"]

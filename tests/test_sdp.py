@@ -442,15 +442,3 @@ class TestDeterminism:
         assert np.array_equal(a.primal_matrix, b.primal_matrix)
         assert np.array_equal(a.y, b.y)
 
-
-class TestTolerancePlumbing:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PCOH_SOLVER_TOL", "1e-6")
-        assert sdp.solver_tolerance() == 1e-6
-        monkeypatch.setenv("PCOH_SOLVER_TOL", "junk")
-        with pytest.raises(ValidationError):
-            sdp.solver_tolerance()
-
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("PCOH_SOLVER_TOL", "1e-6")
-        assert sdp.solver_tolerance(1e-10) == 1e-10
