@@ -19,6 +19,9 @@ from .gambles import Gamble, gamble_eval
 from .quantum import DensityState
 
 _AFFINE_TOL = 1e-9
+# most atoms a random support may have, 16 times the largest support the
+# moments benchmark fits: the fit is a dense system with one column per atom
+MAX_ATOMS = 4096
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,10 @@ def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
     one unit-weight row, then re-checked exactly on the normalised weights.
     The row needs no heavier weight: atoms and ``rho`` have unit trace and the
     diagonal coordinates carry it, so ||A w - r|| >= |sum w - 1| / sqrt(n).
+    ``tol`` must be finite and nonnegative, else ValidationError.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"fit tolerance must be finite and nonnegative, got {tol!r}")
     support = list(support)
     if not support:
         return False
@@ -208,9 +214,14 @@ def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
 
 
 def random_product_support(dims, count: int, seed: int) -> list:
-    """Deterministic list of Haar-ish random product atoms for a nonnegative integer seed."""
+    """Deterministic list of Haar-ish random product atoms for a nonnegative integer seed.
+
+    ``count`` may not exceed MAX_ATOMS.
+    """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if count > MAX_ATOMS:
+        raise ValidationError(f"at most {MAX_ATOMS} random atoms are supported, got {count}")
     rng = np.random.default_rng(seed)
     support = []
     for _ in range(count):

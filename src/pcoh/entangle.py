@@ -284,8 +284,8 @@ def dutch_book_certificate(
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError("certificate construction expects a bipartite state")
-    if epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon!r}")
     cfg = cfg or ProductStateSearchConfig()
     if witness_prime is None:
         if ppt_check(rho):

@@ -64,11 +64,13 @@ class AssessmentSet:
 
     ``matrices`` is the read-only (m, n, n) stack of the gambles' matrices,
     built once from the already validated gambles; every solve takes it as is.
+    ``norms`` holds their Frobenius norms, which scale the re-check tolerances.
     """
 
     gambles: tuple
     dims: tuple
     matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = linalg.factor_dims(self.dims)
@@ -84,9 +86,12 @@ class AssessmentSet:
         n = math.prod(dims)
         mats = np.array([g.matrix for g in gambles], dtype=complex).reshape(len(gambles), n, n)
         mats.flags.writeable = False
+        norms = np.linalg.norm(mats, axis=(1, 2))
+        norms.flags.writeable = False
         object.__setattr__(self, "gambles", gambles)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "norms", norms)
 
     @property
     def dim(self) -> int:
@@ -174,61 +179,139 @@ def gamble_eval(g: Gamble, states) -> float:
     return float(val.real)
 
 
-def _shift_lmi(a: AssessmentSet, f0, cap: float):
+def _shift_lmi(a: AssessmentSet, f0, cap: float, accept=None):
     """max t s.t. F0 - t I - sum lam_i G_i >= 0, lam >= 0 and t <= cap."""
     p = len(a.gambles)
     b = np.zeros(1 + p)
     b[0] = 1.0
     a_main = np.concatenate([np.eye(a.dim, dtype=complex)[None], a.matrices])
-    return sdp.maximize_lmi(b, f0, a_main, nonneg=tuple(range(1, 1 + p)), caps=((0, cap),))
+    return sdp.maximize_lmi(
+        b, f0, a_main, nonneg=tuple(range(1, 1 + p)), caps=((0, cap),), accept=accept
+    )
 
 
 def _feasibility(a: AssessmentSet, f0):
     """Is F0 = sum lam_i G_i + P for some lam >= 0 and PSD P?
 
-    Solves for the margin, the largest t <= 1 with F0 - t I - sum lam_i G_i
-    PSD, and returns ``(margin, lam, sigma)``.  A margin of at least
-    FEASIBLE_MARGIN comes with the multipliers lam (sigma None).  One below
-    INFEASIBLE_MARGIN comes with the separating state sigma (lam None): the
-    solver's primal block over its trace, checked again before it is returned
-    to be a state with Tr(G_i sigma) >= 0 (:func:`_certifies_coherence`) and
+    Returns ``(margin, lam, sigma)``: the multipliers lam when it is (sigma
+    None), the separating state sigma when it is not (lam None).  The margin
+    is the largest t <= 1 with F0 - t I - sum lam_i G_i PSD, or a bound on it.
+
+    The solve ends at the first iterate that carries a certificate, and that
+    certificate is rebuilt from the returned result and checked again:
+
+    * multipliers lam = max(y_1..p, 0) with lambda_min(F0 - sum lam_i G_i)
+      >= 0, a lower bound on the margin.  When F0 = -I (the coherence
+      question) an iterate with t = y_0 > -1 offers lam / (1 + t), since
+      -(1 + t) I - sum lam_i G_i >= 0 is then the same Dutch book;
+    * a state sigma, the primal block over its trace, that passes
+      :func:`_certifies_coherence` with Tr(F0 sigma) below INFEASIBLE_MARGIN,
+      an upper bound on the margin.
+
+    A solve that finds no certificate runs to its optimum, and its margin
+    y_0 decides.  At or above FEASIBLE_MARGIN it comes with the multipliers
+    built as above, which must pass lambda_min(F0 - sum lam_i G_i) >=
+    -1e-7 (1 + sum lam_i |G_i|); below INFEASIBLE_MARGIN with the state built
+    as above, which must pass :func:`_certifies_coherence` with
     Tr(F0 sigma) < 0.  A margin in between, or a failed re-check, raises
     :class:`SolverFailure`.
     """
-    res = _shift_lmi(a, f0, 1.0)
+    n = a.dim
+    coherence = np.array_equal(f0, -np.eye(n))
+    flat = a.matrices.reshape(len(a.gambles), n * n)
+    certified_by = None
+
+    def multipliers(y):
+        lam = np.maximum(y[1:], 0.0)
+        if coherence and y[0] > -1.0:
+            lam = lam / (1.0 + y[0])
+        return lam, f0 - (lam @ flat).reshape(n, n)
+
+    def accept(y, primal):
+        nonlocal certified_by
+        slack = multipliers(y)[1]
+        # a PSD slack has a nonnegative diagonal, which is cheaper to test
+        if slack.diagonal().real.min() >= 0.0 and np.linalg.eigvalsh(slack)[0] >= 0.0:
+            certified_by = "multipliers"
+        elif _separating_state(a, f0, primal, INFEASIBLE_MARGIN)[0] is not None:
+            certified_by = "state"
+        return certified_by is not None
+
+    res = _shift_lmi(a, f0, 1.0, accept)
+    if res.status == sdp.STATUS_CERTIFIED:
+        if certified_by == "multipliers":
+            lam, slack = multipliers(res.y)
+            slack_min = float(np.linalg.eigvalsh(slack)[0])
+            if slack_min < 0.0:
+                raise SolverFailure(
+                    "multipliers fail the re-check",
+                    residuals={"slack_min_eig": slack_min, **res.residuals},
+                )
+            return min(slack_min, 1.0), lam, None
+        sigma, trace, value = _separating_state(a, f0, res.primal_matrix, INFEASIBLE_MARGIN)
+        if sigma is None:
+            raise SolverFailure(
+                "separating state fails the re-check",
+                residuals={"trace": trace, "value": value, **res.residuals},
+            )
+        return value, None, sigma
     if res.status != sdp.STATUS_OPTIMAL:
         raise SolverFailure(
             f"feasibility solve ended with status {res.status}", residuals=res.residuals
         )
     margin = max(float(res.y[0]), -1e10)
     if margin >= FEASIBLE_MARGIN:
-        return margin, np.maximum(res.y[1:], 0.0), None
+        lam, slack = multipliers(res.y)
+        slack_min = float(np.linalg.eigvalsh(slack)[0])
+        scale = 1.0 + float(lam @ a.norms)
+        if slack_min < -_CERT_TOL * scale:
+            raise SolverFailure(
+                "multipliers fail the re-check",
+                residuals={"margin": margin, "slack_min_eig": slack_min, "scale": scale,
+                           **res.residuals},
+            )
+        return margin, lam, None
     if margin >= INFEASIBLE_MARGIN:
         raise SolverFailure(
             "feasibility margin is inconclusive", residuals={"margin": margin, **res.residuals}
         )
-    sigma = res.primal_matrix
-    trace = float(np.trace(sigma).real)
-    value = float(np.trace(f0 @ sigma).real)
-    if not (trace > 0.0 and value < 0.0 and _certifies_coherence(a, sigma / trace)):
+    sigma, trace, value = _separating_state(a, f0, res.primal_matrix, 0.0)
+    if sigma is None:
         raise SolverFailure(
             "separating state fails the re-check",
             residuals={"margin": margin, "trace": trace, "value": value, **res.residuals},
         )
-    return margin, None, sigma / trace
+    return margin, None, sigma
+
+
+def _separating_state(a: AssessmentSet, f0, primal, bound: float):
+    """``(sigma, trace, value)`` for the state sigma = primal / Tr(primal).
+
+    ``value`` is Tr(F0 sigma).  ``sigma`` is None unless Tr(primal) > 0,
+    ``value`` is below ``bound`` and sigma passes :func:`_certifies_coherence`.
+    """
+    trace = float(np.trace(primal).real)
+    if not trace > 0.0:
+        return None, trace, np.nan
+    sigma = primal / trace
+    value = float(np.trace(f0 @ sigma).real)
+    return (sigma if value < bound and _certifies_coherence(a, sigma) else None), trace, value
 
 
 def is_p_coherent(a: AssessmentSet) -> CoherenceVerdict:
     """Check that no positive combination of assessments plus a PSD form equals -1.
 
-    Incoherence is the feasibility of -I - sum lam_i G_i >= 0 with lam >= 0;
-    the optimal shift of that system is reported as the margin, and an
+    Incoherence is the feasibility of -I - sum lam_i G_i >= 0 with lam >= 0.
+    The margin is the optimum of max t s.t. -I - t I - sum lam_i G_i >= 0,
+    lam >= 0, t <= 1, which is exactly -1.0 for a coherent set (a state with
+    Tr(G_i rho) >= 0 gives t <= -1, and lam = 0 attains it) and exactly +1.0
+    for an incoherent one (a Dutch book, scaled by 2, attains the cap).  An
     incoherent set comes with the minimal-stake multiplier certificate.
     """
-    margin, lam, _ = _feasibility(a, -np.eye(a.dim, dtype=complex))
+    _, lam, _ = _feasibility(a, -np.eye(a.dim, dtype=complex))
     if lam is None:
-        return CoherenceVerdict(True, None, margin)
-    return CoherenceVerdict(False, _minimal_dutch_book(a), margin)
+        return CoherenceVerdict(True, None, -1.0)
+    return CoherenceVerdict(False, _minimal_dutch_book(a), 1.0)
 
 
 def _minimal_dutch_book(a: AssessmentSet):
@@ -246,9 +329,8 @@ def _minimal_dutch_book(a: AssessmentSet):
             f"certificate polish ended with status {res.status}", residuals=res.residuals
         )
     lam = np.maximum(res.y, 0.0)
-    mats = a.matrices
-    scale = 1.0 + float(lam @ np.linalg.norm(mats, axis=(1, 2)))
-    slack_min = float(np.linalg.eigvalsh(-eye - np.tensordot(lam, mats, 1))[0])
+    scale = 1.0 + float(lam @ a.norms)
+    slack_min = float(np.linalg.eigvalsh(-eye - np.tensordot(lam, a.matrices, 1))[0])
     lam_min = float(res.y.min())
     if lam_min < -_CERT_TOL * scale or slack_min < -_CERT_TOL * scale:
         raise SolverFailure(
@@ -272,11 +354,12 @@ def _certifies_coherence(a: AssessmentSet, rho) -> bool:
     Such a state rules out a Dutch book: -I = sum lam_i G_i + P would give
     -1 = sum lam_i Tr(G_i rho) + Tr(P rho) >= 0.
     """
-    if np.linalg.eigvalsh(rho)[0] < -_CERT_TOL or abs(np.trace(rho).real - 1.0) > _CERT_TOL:
+    values = np.einsum("kij,ji->k", a.matrices, rho).real
+    if not np.all(values >= -_CERT_TOL * (1.0 + a.norms)):
         return False
-    mats = a.matrices
-    values = np.einsum("kij,ji->k", mats, rho).real
-    return bool(np.all(values >= -_CERT_TOL * (1.0 + np.linalg.norm(mats, axis=(1, 2)))))
+    return bool(
+        np.linalg.eigvalsh(rho)[0] >= -_CERT_TOL and abs(np.trace(rho).real - 1.0) <= _CERT_TOL
+    )
 
 
 def _solve_prevision(a: AssessmentSet, f: Gamble):

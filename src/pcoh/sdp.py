@@ -20,7 +20,7 @@ Every solve is deterministic: fixed iteration order, no randomisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
+STATUS_CERTIFIED = "certified"
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def _max_step(inv_factor, d, p_lin, d_lin):
     return -1.0 / worst if worst < 0.0 else np.inf
 
 
-def _solve_core(c_psd, a_psd, c_lin, a_lin, b):
+def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
     """Predictor-corrector interior point over one PSD block and one orthant.
 
     Solves min <C,X> + c_lin.x  s.t.  Tr(A_k X) + (a_lin x)_k = b_k, X >= 0
@@ -128,7 +129,9 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b):
     direction keeps X and S block-diagonal when C and every A_k are.  It stops
     once the relative primal and dual infeasibility and gap are all at most
     1e-9; after MAX_ITERATIONS, or a stall, it returns its best iterate, which
-    counts as optimal when those are at most 1e-7.
+    counts as optimal when those are at most 1e-7.  ``accept(y, X)``, when
+    given, is asked after each iteration's residual test; a true return ends
+    the solve at that iterate with status ``certified``.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -181,6 +184,8 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b):
 
         if worst <= _TARGET_RESIDUAL:
             return _CoreResult(STATUS_OPTIMAL, *state)
+        if accept is not None and accept(y, X):
+            return _CoreResult(STATUS_CERTIFIED, *state)
 
         # ray-based infeasibility heuristics
         if dobj > 0.0 and np.linalg.norm(y) > 1e4:
@@ -315,6 +320,7 @@ def maximize_lmi(
     a_main: np.ndarray,
     nonneg: Sequence[int] = (),
     caps: Sequence[tuple] = (),
+    accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
 ) -> LmiResult:
     """Maximise ``b . y`` subject to ``c_main - sum_k y_k a_main[k] >= 0``.
 
@@ -330,6 +336,14 @@ def maximize_lmi(
     block, not this maximisation: ``unbounded`` means that side is unbounded
     below, so no y satisfies the LMI; ``infeasible`` means it has no feasible
     X, shown by a direction in y that raises b . y and keeps the LMI.
+
+    ``accept(y, primal)``, when given, is asked after each iteration's
+    residual test with that iterate's y and primal block (in the same complex
+    units as ``primal_matrix``).  A true return ends the solve there with
+    status ``certified``: the caller has found a certificate it can check in
+    that iterate, so it needs no optimum.  The result then holds that iterate,
+    which the caller should check again.  Without ``accept`` the solve runs to
+    the residual target.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
@@ -346,14 +360,17 @@ def maximize_lmi(
         a_lin[idx, j] = 1.0
     c_lin = np.array([0.0] * len(nonneg) + [float(ub) for _, ub in caps])
 
-    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b)
-    scale = 2.0 if embed else 1.0
-    primal = scale * (_unembed(res.X, n) if embed else as_hermitian(res.X, warn_tol=np.inf))
+    def primal(x):
+        # Tr(A_emb X_emb) = 2 Re Tr(A X): the complex block is twice the unembedded one
+        return 2.0 * _unembed(x, n) if embed else as_hermitian(x, warn_tol=np.inf)
+
+    core_accept = None if accept is None else (lambda yv, x: accept(yv, primal(x)))
+    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b, core_accept)
     return LmiResult(
         status=res.status,
         y=res.y,
         value=res.dual_objective,
-        primal_matrix=primal,
+        primal_matrix=primal(res.X),
         primal_value=res.primal_objective,
         residuals=res.residual_dict(),
     )

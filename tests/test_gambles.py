@@ -184,6 +184,109 @@ class TestSeparatingState:
             verdict()
 
 
+def decision_cases(dims, seed=1):
+    """A coherent and an incoherent set of 2n gambles on ``dims``, and one gamble
+    inside and one outside the coherent set's natural extension."""
+    n = int(np.prod(dims))
+    rng = np.random.default_rng([seed, n])
+    coherent = coherent_random_assessments(rng, n, 2 * n, dims)
+    mats = list(coherent.matrices[:-1])
+    lam = rng.uniform(0.2, 1.0, size=len(mats) + 1)
+    p = random_density(rng, n)
+    # -I - sum lam_i G_i = P >= 0 once the last gamble is added
+    mats.append(-(np.eye(n) + sum(l * m for l, m in zip(lam, mats)) + p) / lam[-1])
+    incoherent = gambles.AssessmentSet(tuple(gambles.Gamble(m, dims) for m in mats), dims)
+    mu = rng.uniform(0.0, 1.0, size=2 * n)
+    member = sum(m * g for m, g in zip(mu, coherent.matrices)) + 0.1 * np.eye(n)
+    # negative definite, so Tr(F rho) < 0 at every state of the credal set
+    outside = random_hermitian(rng, n)
+    outside = outside - (np.linalg.eigvalsh(outside)[-1] + 0.2) * np.eye(n)
+    return coherent, incoherent, gambles.Gamble(member, dims), gambles.Gamble(outside, dims)
+
+
+class TestCertifiedStop:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_decision_solves_stop_at_a_certificate(self, monkeypatch, dims):
+        coherent, incoherent, member, outside = decision_cases(dims)
+        solve = sdp.maximize_lmi
+        seen = []  # (args, kwargs, result) of each solve given a certificate predicate
+
+        def recording(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if kwargs.get("accept") is not None:
+                seen.append((args, kwargs, res))
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", recording)
+        questions = [
+            (lambda: gambles.is_p_coherent(coherent).p_coherent, True),
+            (lambda: gambles.is_p_coherent(incoherent).p_coherent, False),
+            (lambda: gambles.natural_extension_contains(coherent, member), True),
+            (lambda: gambles.natural_extension_contains(coherent, outside), False),
+        ]
+        for ask, want in questions:
+            seen.clear()
+            assert ask() is want
+            assert len(seen) == 1
+            args, kwargs, res = seen[0]
+            assert res.status == sdp.STATUS_CERTIFIED
+            kwargs = {k: v for k, v in kwargs.items() if k != "accept"}
+            full = solve(*args, **kwargs)
+            assert full.status == sdp.STATUS_OPTIMAL
+            assert res.residuals["iterations"] < full.residuals["iterations"]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_coherence_margin_is_the_exact_optimum(self, dims):
+        coherent, incoherent, _, _ = decision_cases(dims)
+        assert gambles.is_p_coherent(coherent).margin == -1.0
+        assert gambles.is_p_coherent(incoherent).margin == 1.0
+        assert gambles.is_p_coherent(gambles.AssessmentSet.vacuous(dims)).margin == -1.0
+
+    @pytest.mark.parametrize("which", ["coherent", "incoherent", "member", "outside"])
+    @pytest.mark.parametrize("part", ["y", "primal"])
+    def test_recheck_rejects_a_perturbed_certified_result(self, monkeypatch, which, part):
+        coherent, incoherent, member, outside = decision_cases((2, 3))
+        ask = {
+            "coherent": lambda: gambles.is_p_coherent(coherent),
+            "incoherent": lambda: gambles.is_p_coherent(incoherent),
+            "member": lambda: gambles.natural_extension_contains(coherent, member),
+            "outside": lambda: gambles.natural_extension_contains(coherent, outside),
+        }[which]
+        solve = sdp.maximize_lmi
+
+        def perturbed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if res.status == sdp.STATUS_CERTIFIED:
+                if part == "y":
+                    res.y = np.r_[res.y[0], 0.0 * res.y[1:]]  # the multipliers dropped
+                else:
+                    res.primal_matrix = -res.primal_matrix
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", perturbed)
+        # a Dutch book or member rests on y, a coherent set or non-member on the state
+        if (which in ("incoherent", "member")) == (part == "y"):
+            with pytest.raises(SolverFailure, match="fail(s)? the re-check"):
+                ask()
+        else:
+            ask()
+
+    def test_multipliers_after_a_full_solve_are_checked_again(self, monkeypatch):
+        coherent, _, member, _ = decision_cases((2, 2))
+        assert gambles.natural_extension_contains(coherent, member)
+        solve = sdp.maximize_lmi
+
+        def shrunk(*args, **kwargs):
+            kwargs.pop("accept", None)  # solve to the optimum, past any certificate
+            res = solve(*args, **kwargs)
+            res.y = 0.5 * res.y
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", shrunk)
+        with pytest.raises(SolverFailure, match="multipliers fail the re-check"):
+            gambles.natural_extension_contains(coherent, member)
+
+
 class TestValidateOnce:
     def test_matrices_are_one_read_only_stack(self):
         rng = np.random.default_rng(30)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ class TestCliContract:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["charge", "--bell", "--random", "4", "--fit-tol", "-1"], "tolerance"),
+        (["charge", "--bell", "--random", "4", "--fit-tol", "nan"], "tolerance"),
+        (["witness", "--bell", "--epsilon", "inf"], "epsilon"),
+        (["witness", "--bell", "--epsilon", "nan"], "epsilon"),
+        (["charge", "--bell", "--random", "100000000"], "atoms"),
+    ])
+    def test_out_of_range_number_exits_2_without_a_warning(self, capsys, argv, named):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert not seen, [str(w.message) for w in seen]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err and named in err, err
 
     @pytest.mark.parametrize("value", ["1e-3", "junk"])
     def test_solver_tolerance_comes_from_no_environment_variable(self, capsys, monkeypatch, value):
