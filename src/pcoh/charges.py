@@ -20,7 +20,7 @@ from .quantum import DensityState
 
 _AFFINE_TOL = 1e-9
 # most atoms a random support may have, 16 times the largest support the
-# moments benchmark fits: the fit is a dense system with one column per atom
+# moments benchmark fits; the fits' time and memory are linear in the atom count
 MAX_ATOMS = 4096
 
 
@@ -28,8 +28,9 @@ MAX_ATOMS = 4096
 class DiscreteCharge:
     """Atoms (one unit vector per factor) with weights that sum to one.
 
-    Weights may be negative; ``tol`` loosens the affine-normalisation check
-    for tabulated data printed at low precision.
+    Weights may be negative but must be finite, one per atom; ``tol`` loosens
+    the affine-normalisation check for tabulated data printed at low precision.
+    Every atom must have the first atom's factor count and dimensions.
     """
 
     atoms: tuple
@@ -38,25 +39,23 @@ class DiscreteCharge:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValidationError(f"weights must be a 1-D array, got shape {weights.shape}")
         if len(self.atoms) != weights.shape[0]:
             raise DimensionMismatchError("one weight per atom required")
         if not self.atoms:
             raise ValidationError("charge needs at least one atom")
+        if not np.all(np.isfinite(weights)):
+            raise ValidationError("weights must be finite")
         if abs(weights.sum() - 1.0) > self.tol:
             raise ValidationError(
                 f"weights must sum to one within {self.tol}, got {weights.sum()}"
             )
-        normed = []
-        for atom in self.atoms:
-            factors = []
-            for v in atom:
-                v = np.asarray(v, dtype=complex).reshape(-1)
-                nrm = np.linalg.norm(v)
-                if nrm <= 0.0:
-                    raise ValidationError("atom factors must be nonzero")
-                factors.append(v / nrm)
-            normed.append(tuple(factors))
-        object.__setattr__(self, "atoms", tuple(normed))
+        dims = tuple(np.size(v) for v in self.atoms[0])
+        if not dims:
+            raise ValidationError("charge atoms need at least one factor")
+        stacks = _unit_stacks(self.atoms, dims, "charge")
+        object.__setattr__(self, "atoms", tuple(zip(*stacks)))
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -103,22 +102,35 @@ def _real_coords(m):
     )
 
 
-def _atom_system(support, dims):
+def _unit_stacks(atoms, dims, kind):
+    """One (K, d) complex array per factor of ``dims``, each row scaled to unit norm.
+
+    An atom whose factor count or factor dimension differs from ``dims`` raises
+    DimensionMismatchError naming ``kind``; a zero factor raises ValidationError.
+    """
+    if set(map(len, atoms)) != {len(dims)}:
+        raise DimensionMismatchError(f"{kind} atom has the wrong number of factors")
+    stacks = []
+    for column, d in zip(zip(*atoms), dims):
+        try:
+            stack = np.array(column, dtype=complex).reshape(len(column), -1)
+        except ValueError:  # unequal shapes; equal sizes, as (d,) beside (d, 1), still fit
+            flat = [np.asarray(v, dtype=complex).reshape(-1) for v in column]
+            stack = np.array(flat) if all(v.shape == (d,) for v in flat) else None
+        if stack is None or stack.shape[1] != d:
+            raise DimensionMismatchError(f"{kind} atom factor has wrong dimension")
+        norms = np.linalg.norm(stack, axis=1, keepdims=True)
+        if not np.all(norms > 0.0):
+            raise ValidationError("atom factors must be nonzero")
+        stacks.append(stack / norms)
+    return stacks
+
+
+def _atom_system(stacks):
     """Real coordinates of each atom's rank-one moment matrix, one column per atom."""
-    stacks = [[] for _ in dims]
-    for atom in support:
-        if len(atom) != len(dims):
-            raise DimensionMismatchError("support atom has the wrong number of factors")
-        for stack, v, d in zip(stacks, atom, dims):
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            if v.shape[0] != d:
-                raise DimensionMismatchError("support atom factor has wrong dimension")
-            stack.append(v)
-    k = len(support)
+    k = stacks[0].shape[0]
     full = np.ones((k, 1), dtype=complex)
-    for stack in stacks:
-        vecs = np.array(stack)
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    for vecs in stacks:
         full = (full[:, :, None] * vecs[:, None, :]).reshape(k, -1)
     return _real_coords(full[:, :, None] * full[:, None, :].conj()).T
 
@@ -127,24 +139,34 @@ def fit_signed_charge(rho: DensityState, support) -> tuple:
     """Affine least-squares fit of the state's moments on a given product support.
 
     Minimises ||sum_i w_i X_i - rho||_F subject to sum w = 1 and returns the
-    least-norm minimiser (the affine constraint is eliminated against an
-    orthonormal null basis, so the pseudo-inverse solution is least-norm in w
-    as well).  The reported residual is the Frobenius distance actually
-    achieved.
+    least-norm minimiser.  The affine constraint is eliminated with the
+    Householder reflector H = I - beta v v^T, v = c 1 + e_0 with
+    c = 1/sqrt(K), which maps the unit all-ones vector c 1 to -e_0: H's last
+    K - 1 columns are an orthonormal basis of {sum w = 0}, so the
+    pseudo-inverse solution is least-norm in w as well.  H is applied,
+    A H = A - beta (A v) v^T, and never formed, so time and memory are linear
+    in the number K of atoms.  The reported residual is the Frobenius
+    distance actually achieved.
     """
     support = list(support)
     if not support:
         raise ValidationError("support must contain at least one product atom")
-    a = _atom_system(support, rho.dims)
+    stacks = _unit_stacks(support, rho.dims, "support")
+    a = _atom_system(stacks)
     r = _real_coords(rho.matrix)
     k = a.shape[1]
     w0 = np.full(k, 1.0 / k)
-    q, _ = np.linalg.qr(np.ones((k, 1)), mode="complete")
-    null = q[:, 1:]
-    u, *_ = np.linalg.lstsq(a @ null, r - a @ w0, rcond=None)
-    w = w0 + null @ u
+    # |v|^2 = 2 + 2c is never near 0 (the sign LAPACK's QR picks), and v[1:] = c, so
+    # (A H)[:, 1:] = A[:, 1:] - beta c (A v) 1^T and H [0; u] = [0; u] - beta c (sum u) v
+    c = 1.0 / np.sqrt(k)
+    v = np.full(k, c)
+    v[0] += 1.0
+    beta = 1.0 / (1.0 + c)
+    u, *_ = np.linalg.lstsq(a[:, 1:] - (beta * c) * (a @ v)[:, None], r - a @ w0, rcond=None)
+    w = w0 - (beta * c * u.sum()) * v
+    w[1:] += u
     residual = float(np.linalg.norm(a @ w - r))
-    charge = DiscreteCharge(atoms=tuple(tuple(v for v in atom) for atom in support), weights=w)
+    charge = DiscreteCharge(atoms=tuple(zip(*stacks)), weights=w)
     return charge, residual
 
 
@@ -200,7 +222,7 @@ def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
     support = list(support)
     if not support:
         return False
-    a = _atom_system(support, rho.dims)
+    a = _atom_system(_unit_stacks(support, rho.dims, "support"))
     r = _real_coords(rho.matrix)
     a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
     r_aug = np.concatenate([r, [1.0]])

@@ -23,19 +23,21 @@ def as_hermitian(a, warn_tol: float = HERMITICITY_WARN_TOL) -> np.ndarray:
     """Return the Hermitian part (A + A^dagger)/2 with an exactly real diagonal.
 
     Warns when the asymmetry exceeds ``warn_tol``; JSON round-trips and solver
-    output legitimately carry rounding below that.
+    output legitimately carry rounding below that.  ``warn_tol=np.inf`` never
+    warns, so the asymmetry is not measured.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValidationError("matrix entries must be finite")
-    skew = np.linalg.norm(a - a.conj().T)
-    if skew > warn_tol * (1.0 + np.linalg.norm(a)):
-        warnings.warn(
-            f"input symmetrised: asymmetry {skew:.3e} exceeds {warn_tol:.1e}",
-            stacklevel=2,
-        )
+    if warn_tol < np.inf:
+        skew = np.linalg.norm(a - a.conj().T)
+        if skew > warn_tol * (1.0 + np.linalg.norm(a)):
+            warnings.warn(
+                f"input symmetrised: asymmetry {skew:.3e} exceeds {warn_tol:.1e}",
+                stacklevel=2,
+            )
     h = (a + a.conj().T) / 2.0
     np.fill_diagonal(h, h.diagonal().real)
     return h

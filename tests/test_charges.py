@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian, random_unit_vector
-from pcoh import charges, gambles
+from pcoh import charges, gambles, io
 from pcoh.errors import DimensionMismatchError, SolverFailure, ValidationError
 from pcoh.fixtures import bell_density_matrix, bell_signed_charge_table
 from pcoh.quantum import DensityState
@@ -49,6 +51,39 @@ class TestEigenCharge:
     def test_multi_factor_rejected(self, bell_state):
         with pytest.raises(DimensionMismatchError):
             charges.eigen_charge(bell_state)
+
+
+class TestDiscreteChargeValidation:
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, -np.inf], [[0.5], [0.5]]])
+    def test_non_finite_or_non_vector_weights_rejected(self, weights):
+        with pytest.raises(ValidationError, match="weights"):
+            charges.DiscreteCharge(atoms=((KET0,), (KET1,)), weights=weights)
+
+    @pytest.mark.parametrize("atoms, named", [
+        (((KET0, KET0), (KET1,)), "number of factors"),
+        (((KET0, KET0), (KET1, np.ones(3))), "dimension"),
+    ])
+    def test_mixed_atom_shapes_rejected(self, atoms, named):
+        with pytest.raises(DimensionMismatchError, match=named):
+            charges.DiscreteCharge(atoms=atoms, weights=[0.5, 0.5])
+
+    def test_atom_without_factors_rejected(self):
+        with pytest.raises(ValidationError, match="factor"):
+            charges.DiscreteCharge(atoms=((),), weights=[1.0])
+
+    def test_json_nan_weight_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            io.charge_from_json({"atoms": [[[[1.0, 0.0], [0.0, 0.0]]]], "weights": ["nan"]})
+
+    def test_atoms_normalised_per_factor(self):
+        rng = np.random.default_rng(55)
+        atoms = tuple((3.0 * random_unit_vector(rng, 2), 0.5 * random_unit_vector(rng, 3))
+                      for _ in range(5))
+        c = charges.DiscreteCharge(atoms=atoms, weights=np.full(5, 0.2))
+        assert c.dims == (2, 3)
+        for got, given in zip(c.atoms, atoms):
+            for v, raw in zip(got, given):
+                assert np.allclose(v, raw / np.linalg.norm(raw), rtol=0.0, atol=1e-15)
 
 
 class TestChargeMoment:
@@ -123,6 +158,71 @@ class TestFitSignedCharge:
     def test_empty_support_rejected(self, bell_state):
         with pytest.raises(ValidationError):
             charges.fit_signed_charge(bell_state, [])
+
+    @pytest.mark.parametrize("count", [16, 64, 256])
+    def test_matches_null_space_oracle(self, bell_state, count):
+        from scipy.linalg import null_space
+
+        rng = np.random.default_rng(count)
+        support = charges.random_product_support((2, 2), count, seed=count)
+        kets = [np.kron(x, y) for x, y in support]
+        picked = rng.choice(count, size=6, replace=False)
+        mixture = sum(w * np.outer(kets[i], kets[i].conj())
+                      for w, i in zip(rng.dirichlet(np.ones(6)), picked))
+        # a different Frobenius isometry from the library's; least-norm w does not depend on it
+        a = np.array([np.concatenate([p.real.ravel(), p.imag.ravel()])
+                      for p in (np.outer(v, v.conj()) for v in kets)]).T
+        null = null_space(np.ones((1, count)))
+        w0 = np.full(count, 1.0 / count)
+        for rho in (bell_state.matrix, mixture):
+            r = np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+            u, *_ = np.linalg.lstsq(a @ null, r - a @ w0, rcond=None)
+            w_ref = w0 + null @ u
+            charge, residual = charges.fit_signed_charge(DensityState(rho, (2, 2)), support)
+            assert np.abs(charge.weights - w_ref).max() <= 1e-9 * (1.0 + np.abs(w_ref).max())
+            assert abs(residual - np.linalg.norm(a @ w_ref - r)) <= 1e-12
+
+    def test_single_atom_takes_all_the_mass(self, bell_state):
+        charge, residual = charges.fit_signed_charge(bell_state, [(KET0, KET0)])
+        assert np.array_equal(charge.weights, [1.0])
+        assert abs(residual - np.linalg.norm(np.diag([1.0, 0, 0, 0]) - bell_state.matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("fit", [
+        charges.fit_signed_charge,
+        lambda rho, support: charges.nonneg_fit_feasible(rho, support, 1e-4),
+    ])
+    def test_largest_support_fits_in_linear_memory(self, bell_state, fit):
+        support = charges.random_product_support((2, 2), charges.MAX_ATOMS, 7)
+        tracemalloc.start()
+        try:
+            fit(bell_state, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a K x K float64 null basis alone would take 134 MB
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("fit", [
+        charges.fit_signed_charge,
+        lambda rho, support: charges.nonneg_fit_feasible(rho, support, 1e-4),
+    ])
+    @pytest.mark.parametrize("support, message", [
+        ([(KET0, KET0), (KET1,)], "support atom has the wrong number of factors"),
+        ([(KET0, KET0, KET1), (KET1, KET0, KET0)], "support atom has the wrong number of factors"),
+        ([(KET0, KET0), (KET1, np.ones(3))], "support atom factor has wrong dimension"),
+        ([(KET0, np.ones(3)), (KET1, np.ones(3))], "support atom factor has wrong dimension"),
+    ])
+    def test_ragged_support_rejected(self, bell_state, fit, support, message):
+        with pytest.raises(DimensionMismatchError) as caught:
+            fit(bell_state, support)
+        assert str(caught.value) == message
+
+    def test_column_vectors_beside_flat_ones(self, bell_state):
+        support = charges.random_product_support((2, 2), 8, seed=3)
+        mixed = [(x.reshape(-1, 1), y) if i % 2 else (x, y) for i, (x, y) in enumerate(support)]
+        want, want_res = charges.fit_signed_charge(bell_state, support)
+        got, got_res = charges.fit_signed_charge(bell_state, mixed)
+        assert np.array_equal(got.weights, want.weights) and got_res == want_res
 
 
 class TestNonnegFit:

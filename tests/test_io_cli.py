@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_hermitian
 import pcoh
-from pcoh import cli, io
+from pcoh import charges, cli, io
 from pcoh.charges import bell_charge_fixture
 from pcoh.errors import ValidationError
 from pcoh.fixtures import bell_density_matrix, bell_witness_gamble
@@ -275,6 +275,14 @@ class TestCliCharge:
         assert rep["results"]["residual"] <= 1e-8
         assert rep["results"]["min_weight"] < 0.0
         assert rep["results"]["nonneg_fit_feasible"] is False
+
+    def test_largest_random_support(self, capsys):
+        rc, rep = run_json(
+            capsys, ["charge", "--bell", "--random", str(charges.MAX_ATOMS), "--seed", "7"]
+        )
+        assert rc == 0
+        assert rep["results"]["residual"] <= 1e-8
+        assert len(rep["results"]["weights"]) == 4096
 
     def test_table_replay(self, workdir, capsys):
         rc, rep = run_json(capsys, ["charge", "-i", str(workdir / "bell.json"), "--bell-table"])

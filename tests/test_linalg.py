@@ -196,6 +196,18 @@ class TestHermitize:
         with pytest.warns(UserWarning):
             linalg.as_hermitian(a)
 
+    def test_infinite_tolerance_skips_the_asymmetry_norms(self, monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        a = np.array([[1.0, 2.0 + 1.0j], [0.0, 3.0 + 1e-3j]])
+        h = linalg.as_hermitian(a, warn_tol=np.inf)
+        assert not calls
+        with pytest.warns(UserWarning):
+            h_default = linalg.as_hermitian(a)
+        assert len(calls) == 2
+        assert np.array_equal(h, h_default)
+
 
 class TestSwapFactors:
     def test_reorders_product(self):
