@@ -238,21 +238,22 @@ def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
 def random_product_support(dims, count: int, seed: int) -> list:
     """Deterministic list of Haar-ish random product atoms for a nonnegative integer seed.
 
-    ``count`` may not exceed MAX_ATOMS.
+    ``count`` runs from 0 to MAX_ATOMS.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    if count > MAX_ATOMS:
-        raise ValidationError(f"at most {MAX_ATOMS} random atoms are supported, got {count}")
-    rng = np.random.default_rng(seed)
-    support = []
-    for _ in range(count):
-        atom = []
-        for d in dims:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            atom.append(v / np.linalg.norm(v))
-        support.append(tuple(atom))
-    return support
+    if not 0 <= count <= MAX_ATOMS:
+        raise ValidationError(f"0 to {MAX_ATOMS} random atoms are supported, got {count}")
+    # one row per atom, drawn in the order of a per-atom, per-factor loop:
+    # the real parts of a factor, then its imaginary parts
+    draws = np.random.default_rng(seed).standard_normal((count, 2 * sum(dims)))
+    stacks = []
+    start = 0
+    for d in dims:
+        v = draws[:, start:start + d] + 1j * draws[:, start + d:start + 2 * d]
+        stacks.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        start += 2 * d
+    return list(zip(*stacks))
 
 
 def bell_charge_fixture() -> DiscreteCharge:

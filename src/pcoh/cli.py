@@ -110,7 +110,7 @@ def _print_report(report: RunReport, args, lines):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_coherence(args) -> RunReport:
+def _cmd_coherence(args) -> tuple[RunReport, list[str]]:
     raw = _read_file(args.input)
     assessments = io.assessments_from_json(json.loads(raw))
     verdict = gambles.is_p_coherent(assessments)
@@ -130,7 +130,7 @@ def _cmd_coherence(args) -> RunReport:
     return report, lines
 
 
-def _cmd_prevision(args) -> RunReport:
+def _cmd_prevision(args) -> tuple[RunReport, list[str]]:
     raw = _read_file(args.input)
     assessments = io.assessments_from_json(json.loads(raw))
     graw = _read_file(args.gamble)
@@ -144,7 +144,7 @@ def _cmd_prevision(args) -> RunReport:
     return report, [f"{args.side} prevision: {_fmt(value)}"]
 
 
-def _cmd_witness(args) -> RunReport:
+def _cmd_witness(args) -> tuple[RunReport, list[str]]:
     state, raw = _load_state(args)
     cfg = entangle.ProductStateSearchConfig(seed=args.seed)
     ppt = entangle.ppt_check(state)
@@ -172,7 +172,7 @@ def _cmd_witness(args) -> RunReport:
     return report, lines
 
 
-def _cmd_chsh(args) -> RunReport:
+def _cmd_chsh(args) -> tuple[RunReport, list[str]]:
     if args.sweep < 0:
         raise ValidationError(f"--sweep must be nonnegative, got {args.sweep}")
     state, raw = _load_state(args)
@@ -203,7 +203,7 @@ def _cmd_chsh(args) -> RunReport:
     return report, lines
 
 
-def _cmd_sos(args) -> RunReport:
+def _cmd_sos(args) -> tuple[RunReport, list[str]]:
     if args.motzkin:
         poly = realsos.motzkin(args.motzkin)
         raw = f"builtin:motzkin:{args.motzkin}".encode()
@@ -237,7 +237,7 @@ def _cmd_sos(args) -> RunReport:
     return report, lines
 
 
-def _cmd_charge(args) -> RunReport:
+def _cmd_charge(args) -> tuple[RunReport, list[str]]:
     state, raw = _load_state(args)
     if args.bell_table:
         fixture = charges.bell_charge_fixture()

@@ -4,10 +4,10 @@ The core is a primal-dual interior-point method (predictor-corrector, KSH
 direction, dense normal-equation solves) over one dense PSD block of modest
 size (several go in block-diagonally) plus one nonnegative orthant.  Each
 iterate is Cholesky-factored once per iteration, and that factor serves S^-1
-and every step-length test.  Complex Hermitian data is handled through the
-real symmetric embedding ``[[Re X, -Im X], [Im X, Re X]]``; slack scalars
-(sign constraints and caps) live in the orthant, which is updated
-elementwise.
+and every step-length test.  The block is solved in the field of its data:
+complex Hermitian data in complex arithmetic, real symmetric data in real
+arithmetic.  Slack scalars (sign constraints and caps) live in the orthant,
+which is updated elementwise.
 
 :func:`maximize_lmi` is the one entry point: max b.y subject to
 C - sum_k y_k A_k >= 0, with optional sign and cap constraints on y.  Its
@@ -46,33 +46,22 @@ STATUS_CERTIFIED = "certified"
 
 
 @dataclass
-class _CoreResult:
+class LmiResult:
     status: str
-    X: np.ndarray
     y: np.ndarray
-    primal_objective: float
-    dual_objective: float
-    rel_gap: float
-    primal_residual: float
-    dual_residual: float
-    iterations: int
-
-    def residual_dict(self):
-        return {
-            "rel_gap": self.rel_gap,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "iterations": self.iterations,
-        }
+    value: float
+    primal_matrix: Optional[np.ndarray]
+    primal_value: float
+    residuals: dict
 
 
 def _sym(m):
-    return (m + m.T) / 2.0
+    return (m + m.conj().T) / 2.0
 
 
 def _inner(p, q):
-    """<P,Q> + p.q for iterate pairs p = (P, p_lin) and q = (Q, q_lin)."""
-    return float((p[0] * q[0]).sum() + (p[1] * q[1]).sum())
+    """Re<P,Q> + p.q for iterate pairs p = (P, p_lin) and q = (Q, q_lin)."""
+    return float(np.vdot(p[0], q[0]).real + p[1] @ q[1])
 
 
 def _finite(*arrays):
@@ -89,7 +78,7 @@ def _inverse_factor(p):
     try:
         chol = np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
-        jitter = 1e-14 * max(1.0, float(np.trace(p)) / n)
+        jitter = 1e-14 * max(1.0, float(np.trace(p).real) / n)
         try:
             chol = np.linalg.cholesky(p + jitter * np.eye(n))
         except np.linalg.LinAlgError:
@@ -101,7 +90,7 @@ def _max_step(inv_factor, d, p_lin, d_lin):
     """Largest alpha keeping (P + alpha*d, p_lin + alpha*d_lin) in the cone.
 
     ``inv_factor`` is L^-1 for the Cholesky factor L of P, so the PSD bound is
-    -1/lambda_min(L^-1 d L^-T) (``eigvalsh`` reads one triangle, so rounding
+    -1/lambda_min(L^-1 d L^-H) (``eigvalsh`` reads one triangle, so rounding
     asymmetry is harmless); the orthant bound is -1/min_i(d_i/p_i).  Returns 0
     when the direction is not finite, P's factor was lost (``inv_factor``
     None) or the orthant part has left its cone, which the main loop treats as
@@ -113,7 +102,7 @@ def _max_step(inv_factor, d, p_lin, d_lin):
     if (p_lin <= 0.0).any():
         return 0.0
     worst = min(
-        float(np.linalg.eigvalsh(inv_factor @ d @ inv_factor.T)[0]),
+        float(np.linalg.eigvalsh(inv_factor @ d @ inv_factor.conj().T)[0]),
         float((d_lin / p_lin).min(initial=0.0)),
     )
     return -1.0 / worst if worst < 0.0 else np.inf
@@ -124,25 +113,29 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
 
     Solves min <C,X> + c_lin.x  s.t.  Tr(A_k X) + (a_lin x)_k = b_k, X >= 0
     and x >= 0.  ``c_psd`` is the (n, n) cost, ``a_psd`` the (m, n, n) stack
-    of symmetric A_k and ``a_lin`` the (m, n_l) constraint matrix of the
-    orthant.  Several PSD blocks go in as one block-diagonal block: the KSH
-    direction keeps X and S block-diagonal when C and every A_k are.  It stops
-    once the relative primal and dual infeasibility and gap are all at most
-    1e-9; after MAX_ITERATIONS, or a stall, it returns its best iterate, which
-    counts as optimal when those are at most 1e-7.  ``accept(y, X)``, when
-    given, is asked after each iteration's residual test; a true return ends
-    the solve at that iterate with status ``certified``.
+    of A_k, both complex Hermitian or both real symmetric, and ``a_lin`` the
+    (m, n_l) constraint matrix of the orthant.  The iterates stay in the
+    field of the data.  Several PSD blocks go in as one block-diagonal block:
+    the KSH direction keeps X and S block-diagonal when C and every A_k are.
+    It stops once the relative primal and dual infeasibility and gap are all
+    at most 1e-9; after MAX_ITERATIONS, or a stall, it returns its best
+    iterate, which counts as optimal when those are at most 1e-7.
+    ``accept(y, X)``, when given, is asked after each iteration's residual
+    test; a true return ends the solve at that iterate with status
+    ``certified``.  The result's ``value`` is the dual objective b.y and its
+    ``primal_value`` <C,X> + c_lin.x.
     """
     b = np.asarray(b, dtype=float)
     m = len(b)
     n = c_psd.shape[0]
     eye = np.eye(n)
     nu = n + len(c_lin)
-    # A_k is symmetric, so Tr(A_k U) = vec(A_k) . vec(U) for any U
+    # A_k is Hermitian, so Tr(A_k U) = conj(vec(A_k)) . vec(U) for any U
     flat = a_psd.reshape(m, n * n)
+    flat_h = flat.conj()
 
     def apply_a(u, u_lin):
-        return flat @ u.ravel() + a_lin @ u_lin
+        return (flat_h @ u.ravel()).real + a_lin @ u_lin
 
     def apply_at(yv):
         return (yv @ flat).reshape(n, n), yv @ a_lin
@@ -150,7 +143,7 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
     c = (c_psd, c_lin)
     norm_c = np.sqrt(_inner(c, c))
     norm_b = float(np.linalg.norm(b))
-    a_norms = np.sqrt((flat * flat).sum(axis=1) + (a_lin * a_lin).sum(axis=1))
+    a_norms = np.hypot(np.linalg.norm(flat, axis=1), np.linalg.norm(a_lin, axis=1))
 
     ratio = float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms), initial=0.0))
     scale_p = max(10.0, np.sqrt(nu), ratio * np.sqrt(nu))
@@ -178,37 +171,39 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
         worst = max(pinf, dinf, rel_gap)
 
         # iterates are rebound, never written in place, so no copies
-        state = (X, y, pobj, dobj, rel_gap, pinf, dinf, it)
+        residuals = {"rel_gap": rel_gap, "primal_residual": pinf, "dual_residual": dinf,
+                     "iterations": it}
+        state = (y, dobj, X, pobj, residuals)
         if best is None or worst < best[0]:
             best = (worst, state)
 
         if worst <= _TARGET_RESIDUAL:
-            return _CoreResult(STATUS_OPTIMAL, *state)
+            return LmiResult(STATUS_OPTIMAL, *state)
         if accept is not None and accept(y, X):
-            return _CoreResult(STATUS_CERTIFIED, *state)
+            return LmiResult(STATUS_CERTIFIED, *state)
 
         # ray-based infeasibility heuristics
         if dobj > 0.0 and np.linalg.norm(y) > 1e4:
             hom = (S + at_y, s + atl_y)
             if dobj / max(np.sqrt(_inner(hom, hom)), 1e-300) > _RAY_RATIO:
-                return _CoreResult(STATUS_INFEASIBLE, *state)
+                return LmiResult(STATUS_INFEASIBLE, *state)
         if pobj < 0.0 and np.sqrt(_inner((X, x), (X, x))) > 1e4 * scale_p:
             hom = float(np.linalg.norm(ax))
             if -pobj / max(hom, 1e-300) > _RAY_RATIO:
-                return _CoreResult(STATUS_UNBOUNDED, *state)
+                return LmiResult(STATUS_UNBOUNDED, *state)
 
         # one factorisation of each iterate serves S^-1 and all four step tests
         inv_lx = _inverse_factor(X)
         inv_ls = _inverse_factor(S)
         if inv_ls is not None:
-            s_mat_inv = inv_ls.T @ inv_ls
+            s_mat_inv = inv_ls.conj().T @ inv_ls
         else:
             s_mat_inv = np.linalg.inv(S + 1e-14 * eye)
         s_inv = 1.0 / np.where(s != 0.0, s, 1e-14)
 
         # Schur complement M[j,k] = Tr(A_j X A_k S^-1) + sum_i a_ji (x_i/s_i) a_ki
         big_m = (a_lin * (x * s_inv)) @ a_lin.T
-        big_m += flat @ (X @ a_psd @ s_mat_inv).reshape(m, n * n).T
+        big_m += (flat_h @ (X @ a_psd @ s_mat_inv).reshape(m, n * n).T).real
 
         def newton(k_mat, k_lin):
             """Solve for the step with dX S + X dS = K and dx s + x ds = k."""
@@ -250,22 +245,22 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
 
     worst, state = best
     status = STATUS_OPTIMAL if worst <= _ACCEPTABLE_RESIDUAL else STATUS_NUMERICAL_FAILURE
-    return _CoreResult(status, *state)
+    return LmiResult(status, *state)
 
 
 # ---------------------------------------------------------------------------
-# Hermitian embedding
+# LMI form: max b.y  s.t.  C - sum_k y_k A_k >= 0 (+ sign / cap constraints)
 # ---------------------------------------------------------------------------
 
 
 def _lift(c, mats):
-    """Real symmetric cost block and (m, N, N) constraint stack from Hermitian data.
+    """Checked cost block and (m, n, n) constraint stack from Hermitian data.
 
     ``c`` is (n, n) and ``mats`` an (m, n, n) stack.  The data is checked once,
     as a whole: square matching shapes (else DimensionMismatchError), finite
     entries and |A - A^dagger| <= HERMITICITY_WARN_TOL (1 + |A|) for each
-    matrix (else ValidationError).  Complex data goes through the embedding
-    (N = 2n, ``embedded`` true); real data stays as it is (N = n).
+    matrix (else ValidationError).  Complex data stays complex; data with no
+    imaginary part comes back real.
     """
     c = np.asarray(c, dtype=complex)
     try:
@@ -284,34 +279,9 @@ def _lift(c, mats):
     skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2))
     if (skew > HERMITICITY_WARN_TOL * (1.0 + np.linalg.norm(stack, axis=(1, 2)))).any():
         raise ValidationError("main-block coefficients must be Hermitian")
-    embedded = bool(np.any(stack.imag != 0.0))
-    if embedded:
-        re, im = stack.real, stack.imag
-        stack = np.concatenate([np.concatenate([re, -im], 2), np.concatenate([im, re], 2)], 1)
-    else:
+    if not stack.imag.any():
         stack = stack.real.copy()
-    return stack[0], stack[1:], embedded
-
-
-def _unembed(mr, n):
-    re = (mr[:n, :n] + mr[n:, n:]) / 2.0
-    im = (mr[n:, :n] - mr[:n, n:]) / 2.0
-    return as_hermitian(re + 1j * im, warn_tol=np.inf)
-
-
-# ---------------------------------------------------------------------------
-# LMI form: max b.y  s.t.  C - sum_k y_k A_k >= 0 (+ sign / cap constraints)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LmiResult:
-    status: str
-    y: np.ndarray
-    value: float
-    primal_matrix: Optional[np.ndarray]
-    primal_value: float
-    residuals: dict
+    return stack[0], stack[1:]
 
 
 def maximize_lmi(
@@ -328,9 +298,9 @@ def maximize_lmi(
     stack of Hermitian matrices, one per variable; both are checked as in
     :func:`_lift`, never symmetrised.  ``nonneg`` lists variable indices
     constrained to y_k >= 0; ``caps`` holds ``(index, upper_bound)`` pairs.
-    The solver's primal block associated with the main LMI is returned (in
-    original complex units) -- for prevision problems it is the optimising
-    density matrix, for feasibility problems a separating functional.
+    The solver's primal block associated with the main LMI is returned -- for
+    prevision problems it is the optimising density matrix, for feasibility
+    problems a separating functional.
 
     ``status`` names the core's primal side, min <C, X> over the primal
     block, not this maximisation: ``unbounded`` means that side is unbounded
@@ -338,10 +308,9 @@ def maximize_lmi(
     X, shown by a direction in y that raises b . y and keeps the LMI.
 
     ``accept(y, primal)``, when given, is asked after each iteration's
-    residual test with that iterate's y and primal block (in the same complex
-    units as ``primal_matrix``).  A true return ends the solve there with
-    status ``certified``: the caller has found a certificate it can check in
-    that iterate, so it needs no optimum.  The result then holds that iterate,
+    residual test with that iterate's y and primal block.  A true return ends
+    the solve there with status ``certified``: the caller has found a
+    certificate it can check in that iterate, so it needs no optimum.  The result then holds that iterate,
     which the caller should check again.  Without ``accept`` the solve runs to
     the residual target.
     """
@@ -349,8 +318,7 @@ def maximize_lmi(
     m = len(b)
     if len(a_main) != m:
         raise DimensionMismatchError("one main-block coefficient required per variable")
-    c_psd, a_psd, embed = _lift(c_main, a_main)
-    n = c_psd.shape[0] // 2 if embed else c_psd.shape[0]
+    c_psd, a_psd = _lift(c_main, a_main)
 
     # orthant slacks: y_k for y_k >= 0, ub - y_k for y_k <= ub
     a_lin = np.zeros((m, len(nonneg) + len(caps)))
@@ -360,17 +328,6 @@ def maximize_lmi(
         a_lin[idx, j] = 1.0
     c_lin = np.array([0.0] * len(nonneg) + [float(ub) for _, ub in caps])
 
-    def primal(x):
-        # Tr(A_emb X_emb) = 2 Re Tr(A X): the complex block is twice the unembedded one
-        return 2.0 * _unembed(x, n) if embed else as_hermitian(x, warn_tol=np.inf)
-
-    core_accept = None if accept is None else (lambda yv, x: accept(yv, primal(x)))
-    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b, core_accept)
-    return LmiResult(
-        status=res.status,
-        y=res.y,
-        value=res.dual_objective,
-        primal_matrix=primal(res.X),
-        primal_value=res.primal_objective,
-        residuals=res.residual_dict(),
-    )
+    res = _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept)
+    res.primal_matrix = as_hermitian(res.primal_matrix, warn_tol=np.inf)
+    return res

@@ -155,6 +155,23 @@ class TestFitSignedCharge:
         with pytest.raises(ValidationError, match="seed"):
             charges.random_product_support((2, 2), 4, seed)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4)])
+    def test_random_support_matches_a_per_atom_draw(self, dims):
+        # the same stream read one atom, then one factor, at a time
+        rng = np.random.default_rng(5)
+        want = []
+        for _ in range(64):
+            atom = []
+            for d in dims:
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                atom.append(v / np.linalg.norm(v))
+            want.append(atom)
+        got = charges.random_product_support(dims, 64, seed=5)
+        assert [tuple(len(v) for v in atom) for atom in got] == [dims] * 64
+        assert max(np.abs(v - r).max() for atom, ref in zip(got, want)
+                   for v, r in zip(atom, ref)) <= 1e-15
+        assert charges.random_product_support(dims, 0, seed=5) == []
+
     def test_empty_support_rejected(self, bell_state):
         with pytest.raises(ValidationError):
             charges.fit_signed_charge(bell_state, [])

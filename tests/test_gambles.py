@@ -323,6 +323,26 @@ class TestNaturalExtension:
         a = gambles.AssessmentSet.vacuous((2, 2))
         assert gambles.natural_extension_contains(a, gambles.Gamble(np.eye(4), (2, 2)))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_boundary_members_are_contained(self, monkeypatch, dims):
+        # margin 0: an assessed gamble and a sum of two find no certificate
+        # before the optimum, so the margin and the re-checked multipliers decide
+        n = int(np.prod(dims))
+        a = coherent_random_assessments(np.random.default_rng([19, n]), n, 2 * n, dims)
+        solve = sdp.maximize_lmi
+        statuses = []
+
+        def recording(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(sdp, "maximize_lmi", recording)
+        g0, g1 = a.matrices[:2]
+        for f in (g0, g0 + g1, np.zeros((n, n))):
+            assert gambles.natural_extension_contains(a, gambles.Gamble(f, dims))
+        assert sdp.STATUS_OPTIMAL in statuses
+
     def test_negative_identity_rejected_for_coherent_set(self):
         gI = gambles.Gamble(np.eye(4), (2, 2))
         a = gambles.AssessmentSet((gI,), (2, 2))

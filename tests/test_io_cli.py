@@ -361,6 +361,7 @@ class TestCliContract:
         (["witness", "--bell", "--epsilon", "inf"], "epsilon"),
         (["witness", "--bell", "--epsilon", "nan"], "epsilon"),
         (["charge", "--bell", "--random", "100000000"], "atoms"),
+        (["charge", "--bell", "--random", "-3"], "atoms"),
     ])
     def test_out_of_range_number_exits_2_without_a_warning(self, capsys, argv, named):
         with warnings.catch_warnings(record=True) as seen:

@@ -331,6 +331,43 @@ class TestCore:
             assert np.abs(off).max() <= 1e-8
             assert abs(np.trace(res.primal_matrix).real - 1.0) <= 1e-7
 
+    def test_the_core_solves_in_the_field_of_the_data(self, monkeypatch):
+        core = sdp._solve_core
+        seen = []
+
+        def recording(c_psd, a_psd, *args):
+            seen.append((c_psd, a_psd))
+            return core(c_psd, a_psd, *args)
+
+        monkeypatch.setattr(sdp, "_solve_core", recording)
+        for c, complex_data in [(SIGMA_Y, True), (SIGMA_X, False)]:
+            seen.clear()
+            res = sdp.maximize_lmi([1.0], c, [np.eye(2)])
+            assert res.status == sdp.STATUS_OPTIMAL and abs(res.value + 1.0) <= 1e-7
+            (c_psd, a_psd), = seen
+            assert c_psd.shape == (2, 2) and a_psd.shape == (1, 2, 2)
+            assert np.iscomplexobj(c_psd) == np.iscomplexobj(a_psd) == complex_data
+
+    def test_complex_solve_matches_its_real_embedding(self):
+        # [[Re M, -Im M], [Im M, Re M]] is PSD exactly when M is, so the real
+        # 2n-block LMI has the same feasible y and the same optimum
+        def embed(m):
+            return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+        rng = np.random.default_rng(1010)
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            c = random_hermitian(rng, n)
+            a = np.stack([np.eye(n), random_hermitian(rng, n), random_hermitian(rng, n)])
+            b = [1.0, -0.5, -0.5]
+            kwargs = {"nonneg": (1, 2), "caps": ((0, 5.0),)}
+            got = sdp.maximize_lmi(b, c, a, **kwargs)
+            want = sdp.maximize_lmi(b, embed(c), np.stack([embed(m) for m in a]), **kwargs)
+            assert got.status == want.status == sdp.STATUS_OPTIMAL
+            for value in ("value", "primal_value"):
+                ref = getattr(want, value)
+                assert abs(getattr(got, value) - ref) <= 1e-7 * (1.0 + abs(ref))
+
     def test_each_iterate_is_factored_once_per_iteration(self, monkeypatch):
         # per iteration: one Cholesky of X and one of S, the predictor and the
         # corrector Newton solves, and no solve inside the step-length tests
