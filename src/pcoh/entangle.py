@@ -78,22 +78,28 @@ def _complement_basis(v):
     return b
 
 
-def _partial_form(tensor, vecs, keep):
-    """Contract every factor not in ``keep`` with its state on both sides.
+def _partial_subscripts(m):
+    """``einsum`` subscripts of each factor's partial form, one string per factor.
 
-    ``tensor`` is the gamble reshaped to ``dims + dims`` (row indices, then
-    column indices); the result has the kept row indices, then the kept
-    column indices.
+    Entry ``j`` takes the gamble reshaped to ``dims + dims`` (row indices,
+    then column indices) and, for every factor but ``j`` in order, its
+    conjugate state and its state; it leaves ``j``'s row and column indices.
     """
-    m = len(vecs)
     rows, cols = _LETTERS[:m], _LETTERS[m : 2 * m]
-    operands, parts = [tensor], [rows + cols]
-    for k in range(m):
-        if k not in keep:
-            operands += [vecs[k].conj(), vecs[k]]
-            parts += [rows[k], cols[k]]
-    out = "".join(rows[k] for k in keep) + "".join(cols[k] for k in keep)
-    return np.einsum(",".join(parts) + "->" + out, *operands)
+    return [
+        ",".join([rows + cols] + [rows[k] + "," + cols[k] for k in range(m) if k != j])
+        + "->" + rows[j] + cols[j]
+        for j in range(m)
+    ]
+
+
+def _partial_form(subscripts, tensor, vecs, j):
+    """Contract every factor but ``j`` of ``tensor`` with its state on both sides."""
+    operands = [tensor]
+    for k, v in enumerate(vecs):
+        if k != j:
+            operands += [v.conj(), v]
+    return np.einsum(subscripts[j], *operands)
 
 
 def _swap_in(vecs, bases, swapped, head=None):
@@ -172,10 +178,16 @@ def _minimize_alternating(g_matrix, dims, seed):
     sweep's value is the smallest eigenvalue of its last update, which is the
     form at the updated factors; the returned value is the form evaluated
     once more at the best argmin.
+
+    A restart ends at the first sweep whose exact updates move the value ``v``
+    by at most ``1e-13 (1 + |v|)``, before that sweep's Newton step: there
+    every factor is, to that tolerance, a smallest eigenvector of its partial
+    form, where the gradient on the spheres and with it the step vanish.
     """
     m = len(dims)
     rng = np.random.default_rng(seed)
     tensor = g_matrix.reshape(tuple(dims) + tuple(dims))
+    subscripts = _partial_subscripts(m)
     best_val = np.inf
     best_states = None
     for _ in range(_RESTARTS):
@@ -186,16 +198,16 @@ def _minimize_alternating(g_matrix, dims, seed):
         prev = np.inf
         for _ in range(_MAX_SWEEPS):
             for j in range(m):
-                lam, u = np.linalg.eigh(_partial_form(tensor, vecs, (j,)))
+                lam, u = np.linalg.eigh(_partial_form(subscripts, tensor, vecs, j))
                 vecs[j] = u[:, 0]
             val = float(lam[0])
+            if abs(prev - val) <= 1e-13 * (1.0 + abs(val)):
+                break
             step = _newton_step(g_matrix, vecs, val)
             if step is not None:
                 step_val = _form_value(g_matrix, step)
                 if step_val < val:
                     vecs, val = step, step_val
-            if abs(prev - val) <= 1e-13 * (1.0 + abs(val)):
-                break
             prev = val
         if val < best_val:
             best_val = val
@@ -210,7 +222,9 @@ def product_state_minimum(g: Gamble, cfg: ProductStateSearchConfig | None = None
     and ``value`` is the form evaluated at their product, so it upper-bounds
     the true minimum.  A single factor is solved exactly by its smallest
     eigenpair; several factors get a seeded alternating eigenvector descent:
-    8 restarts of at most 200 sweeps each.
+    8 restarts of at most 200 sweeps each.  A restart ends at the first sweep
+    whose exact factor updates move the value ``v`` by at most
+    ``1e-13 (1 + |v|)``, before that sweep's Newton step.
     """
     cfg = cfg or ProductStateSearchConfig()
     if any(d < 2 for d in g.dims):

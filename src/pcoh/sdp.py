@@ -64,10 +64,6 @@ def _inner(p, q):
     return float(np.vdot(p[0], q[0]).real + p[1] @ q[1])
 
 
-def _finite(*arrays):
-    return all(np.isfinite(a).all() for a in arrays)
-
-
 def _inverse_factor(p):
     """L^-1 for the Cholesky factor L of a PSD iterate, or None if it is lost.
 
@@ -96,7 +92,7 @@ def _max_step(inv_factor, d, p_lin, d_lin):
     None) or the orthant part has left its cone, which the main loop treats as
     a stall.
     """
-    if inv_factor is None or not _finite(d, d_lin):
+    if inv_factor is None or not (np.isfinite(d).all() and np.isfinite(d_lin).all()):
         return 0.0
     p_lin = np.where(p_lin > 0.0, p_lin, p_lin + 1e-14)
     if (p_lin <= 0.0).any():
@@ -119,7 +115,11 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
     the KSH direction keeps X and S block-diagonal when C and every A_k are.
     It stops once the relative primal and dual infeasibility and gap are all
     at most 1e-9; after MAX_ITERATIONS, or a stall, it returns its best
-    iterate, which counts as optimal when those are at most 1e-7.
+    iterate, which counts as optimal when those are at most 1e-7.  A stall is
+    a step shorter than 1e-10 on both sides (a non-finite Newton direction
+    gets a zero step), S losing its Cholesky factor even after the jitter
+    retry, or a Schur complement that stays singular when regularised; none
+    of these raises.
     ``accept(y, X)``, when given, is asked after each iteration's residual
     test; a true return ends the solve at that iterate with status
     ``certified``.  The result's ``value`` is the dual objective b.y and its
@@ -195,10 +195,9 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
         # one factorisation of each iterate serves S^-1 and all four step tests
         inv_lx = _inverse_factor(X)
         inv_ls = _inverse_factor(S)
-        if inv_ls is not None:
-            s_mat_inv = inv_ls.conj().T @ inv_ls
-        else:
-            s_mat_inv = np.linalg.inv(S + 1e-14 * eye)
+        if inv_ls is None:
+            break  # S has lost its factor even with jitter: a stall
+        s_mat_inv = inv_ls.conj().T @ inv_ls
         s_inv = 1.0 / np.where(s != 0.0, s, 1e-14)
 
         # Schur complement M[j,k] = Tr(A_j X A_k S^-1) + sum_i a_ji (x_i/s_i) a_ki
@@ -206,36 +205,46 @@ def _solve_core(c_psd, a_psd, c_lin, a_lin, b, accept=None):
         big_m += (flat_h @ (X @ a_psd @ s_mat_inv).reshape(m, n * n).T).real
 
         def newton(k_mat, k_lin):
-            """Solve for the step with dX S + X dS = K and dx s + x ds = k."""
+            """Solve for the step with dX S + X dS = K and dx s + x ds = k.
+
+            Returns ``None`` when the Schur complement M stays singular with
+            1e-12 max(1, max |M_jk|) added to its diagonal.
+            """
             u = (k_mat - X @ R) @ s_mat_inv
             rhs = r_p - apply_a(u, (k_lin - x * r) * s_inv)
             try:
                 dy = np.linalg.solve(big_m, rhs)
             except np.linalg.LinAlgError:
                 reg = 1e-12 * max(1.0, float(np.abs(big_m).max()))
-                dy = np.linalg.solve(big_m + reg * np.eye(m), rhs)
+                try:
+                    dy = np.linalg.solve(big_m + reg * np.eye(m), rhs)
+                except np.linalg.LinAlgError:
+                    return None
             at_dy, atl_dy = apply_at(dy)
             dS, ds = R - at_dy, r - atl_dy
             dX = _sym((k_mat - X @ dS) @ s_mat_inv)
             return dX, (k_lin - x * ds) * s_inv, dy, dS, ds
 
         # predictor (affine scaling)
-        dX_a, dx_a, dy_a, dS_a, ds_a = newton(-(X @ S), -(x * s))
-        if not _finite(dy_a, dX_a, dx_a):
+        predictor = newton(-(X @ S), -(x * s))
+        if predictor is None:
             break
+        dX_a, dx_a, dy_a, dS_a, ds_a = predictor
         ap_a = min(1.0, _max_step(inv_lx, dX_a, x, dx_a))
         ad_a = min(1.0, _max_step(inv_ls, dS_a, s, ds_a))
         gap_aff = _inner((X + ap_a * dX_a, x + ap_a * dx_a), (S + ad_a * dS_a, s + ad_a * ds_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3) if gap > 0 else 0.1
 
         # corrector with second-order term
-        dX, dx, dy, dS, ds = newton(
+        corrector = newton(
             sigma * mu * eye - X @ S - dX_a @ dS_a, sigma * mu - x * s - dx_a * ds_a
         )
-        if not _finite(dy, dX, dx):
+        if corrector is None:
             break
+        dX, dx, dy, dS, ds = corrector
         alpha_p = min(1.0, _STEP_FRACTION * _max_step(inv_lx, dX, x, dx))
         alpha_d = min(1.0, _STEP_FRACTION * _max_step(inv_ls, dS, s, ds))
+        # a non-finite direction gets zero steps, so it stalls here too
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             break
 

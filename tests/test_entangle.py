@@ -121,6 +121,55 @@ class TestProductStateMinimum:
         assert abs(gambles.gamble_eval(g, list(argmin)) - short) <= 1e-10
 
 
+class TestStoppingRule:
+    # values recorded with a Newton step on every sweep, the last one of each
+    # restart included: skipping that step must keep them to 1e-14 relative.
+    # The gamble is drawn from default_rng([7, *dims])
+    PINNED = {
+        (2, 2): -2.4430985898826054,
+        (2, 3): -3.078971948425621,
+        (3, 3): -3.5900795621669745,
+        (2, 2, 2): -2.7894930854639615,
+        (4, 4): -5.024464246249928,
+    }
+
+    @staticmethod
+    def gamble(dims):
+        rng = np.random.default_rng([7, *dims])
+        return gambles.Gamble(random_hermitian(rng, int(np.prod(dims))), dims)
+
+    @pytest.mark.parametrize("dims", list(PINNED))
+    def test_values_are_pinned_and_bitwise_repeatable(self, dims):
+        cfg = entangle.ProductStateSearchConfig(seed=11)
+        first = entangle.product_state_minimum(self.gamble(dims), cfg)
+        second = entangle.product_state_minimum(self.gamble(dims), cfg)
+        assert abs(first[0] - self.PINNED[dims]) <= 1e-14 * abs(self.PINNED[dims])
+        assert first[0] == second[0]
+        assert all(np.array_equal(u, v) for u, v in zip(first[1], second[1], strict=True))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+    def test_the_sweep_that_ends_a_restart_makes_no_newton_step(self, dims, monkeypatch):
+        # every sweep builds one partial form per factor; all but the last
+        # sweep of each restart take a Newton step
+        counts = {"forms": 0, "newton": 0}
+        partial_form, newton_step = entangle._partial_form, entangle._newton_step
+
+        def counting_form(*args):
+            counts["forms"] += 1
+            return partial_form(*args)
+
+        def counting_newton(*args):
+            counts["newton"] += 1
+            return newton_step(*args)
+
+        monkeypatch.setattr(entangle, "_partial_form", counting_form)
+        monkeypatch.setattr(entangle, "_newton_step", counting_newton)
+        entangle.product_state_minimum(self.gamble(dims), entangle.ProductStateSearchConfig(seed=11))
+        sweeps = counts["forms"] // len(dims)
+        assert counts["forms"] == sweeps * len(dims)
+        assert counts["newton"] == sweeps - entangle._RESTARTS
+
+
 class TestSearchInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)])

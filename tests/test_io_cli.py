@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import S_FACTOR_LOSS_COEFFS, random_hermitian
 import pcoh
 from pcoh import charges, cli, io
 from pcoh.charges import bell_charge_fixture
@@ -260,6 +260,12 @@ class TestCliSos:
         io.dump_json(
             io.poly_to_json(BiPoly({(2, 0): 1.0, (0, 2): 1.0})), tmp_path / "p.json"
         )
+        rc, rep = run_json(capsys, ["sos", "-i", str(tmp_path / "p.json")])
+        assert rc == 0
+        assert rep["results"]["is_sos"] is True
+
+    def test_poly_whose_solve_loses_the_slack_factor(self, capsys, tmp_path):
+        io.dump_json(io.poly_to_json(BiPoly(S_FACTOR_LOSS_COEFFS)), tmp_path / "p.json")
         rc, rep = run_json(capsys, ["sos", "-i", str(tmp_path / "p.json")])
         assert rc == 0
         assert rep["results"]["is_sos"] is True

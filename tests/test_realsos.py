@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import S_FACTOR_LOSS_COEFFS
 from pcoh import linalg, realsos, sdp
 from pcoh.errors import SolverFailure, ValidationError
 
@@ -188,6 +189,23 @@ class TestSosCheck:
         with pytest.raises(SolverFailure, match="re-check") as info:
             realsos.sos_check_detail(p)
         assert info.value.residuals["coefficient_residual"] > 1e-4
+
+    def test_lost_slack_factor_still_gives_a_checked_verdict(self, monkeypatch):
+        # the solve stops where S loses its factor and returns its best
+        # iterate, whose Gram matrix passes the independent re-check
+        inverse_factor, lost = sdp._inverse_factor, []
+
+        def recording(p):
+            out = inverse_factor(p)
+            lost.append(out is None)
+            return out
+
+        monkeypatch.setattr(sdp, "_inverse_factor", recording)
+        verdict = realsos.sos_check_detail(realsos.BiPoly(S_FACTOR_LOSS_COEFFS))
+        assert any(lost)
+        assert verdict.is_sos
+        assert verdict.margin >= 0.5
+        assert verdict.gram.coefficient_residual <= 1e-9
 
     def test_sos_implies_grid_nonnegative(self):
         rng = np.random.default_rng(11)

@@ -316,6 +316,43 @@ class TestCore:
         assert sdp._max_step(inv, np.full((3, 3), np.nan), x_lin, d_lin) == 0.0
         assert sdp._max_step(inv, d, x_lin, np.array([-1.0, np.inf])) == 0.0
 
+    @pytest.mark.parametrize("lost", ["slack_factor", "schur_solve"])
+    def test_a_lost_factor_ends_the_solve_at_its_best_iterate(self, monkeypatch, lost):
+        # from iteration 3 on, S has no Cholesky factor, or the Schur complement
+        # has no solve even regularised: the solve stops there, without an
+        # exception, and returns what a 3-iteration solve returns
+        rng = np.random.default_rng(909)
+        b, c = np.r_[1.0, np.zeros(3)], random_hermitian(rng, 4)
+        a = [np.eye(4)] + [random_hermitian(rng, 4) for _ in range(3)]
+        kwargs = {"nonneg": range(1, 4), "caps": [(0, 1.0)]}
+        with monkeypatch.context() as mp:
+            mp.setattr(sdp, "MAX_ITERATIONS", 3)
+            want = sdp.maximize_lmi(b, c, a, **kwargs)
+        calls = []
+        if lost == "slack_factor":
+            inverse_factor = sdp._inverse_factor
+
+            def losing(p):  # called for X, then S, once per iteration
+                calls.append(1)
+                return None if len(calls) == 6 else inverse_factor(p)
+
+            monkeypatch.setattr(sdp, "_inverse_factor", losing)
+        else:
+            solve = np.linalg.solve
+
+            def losing(m, rhs):  # a predictor and a corrector solve per iteration
+                calls.append(1)
+                if len(calls) >= 5:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(m, rhs)
+
+            monkeypatch.setattr(np.linalg, "solve", losing)
+        got = sdp.maximize_lmi(b, c, a, **kwargs)
+        assert got.status == want.status
+        assert got.residuals == want.residuals
+        assert np.array_equal(got.y, want.y)
+        assert np.array_equal(got.primal_matrix, want.primal_matrix)
+
     def test_two_blocks_go_in_block_diagonally(self):
         # max t s.t. diag(A1 - tI, A2 - tI) >= 0 is min(lambda_min A1, lambda_min A2)
         rng = np.random.default_rng(808)
