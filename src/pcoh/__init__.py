@@ -10,7 +10,12 @@ Submodules:
 * :mod:`pcoh.charges`  -- signed discrete charges over product supports
 * :mod:`pcoh.realsos`  -- bivariate SOS certificates and moment-matrix duals
 * :mod:`pcoh.cli`      -- the ``pcoh`` command
+
+The domain types re-exported here load their modules on first access
+(PEP 562), so ``import pcoh`` alone loads only :mod:`pcoh.errors`.
 """
+
+import importlib
 
 from .errors import (
     ConditioningError,
@@ -19,8 +24,14 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .gambles import AssessmentSet, CredalSet, Gamble
-from .quantum import DensityState, ProjectiveMeasurement
+
+_LAZY = {
+    "AssessmentSet": "gambles",
+    "CredalSet": "gambles",
+    "Gamble": "gambles",
+    "DensityState": "quantum",
+    "ProjectiveMeasurement": "quantum",
+}
 
 __all__ = [
     "AssessmentSet",
@@ -36,3 +47,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

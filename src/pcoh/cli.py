@@ -10,7 +10,14 @@ Subcommands map one-to-one onto the library surface::
     pcoh charge    -i state.json [--support sup.json | --random K | --bell-table]
 
 Exit codes: 0 success, 2 domain/validation error, 3 solver failure.  All
-numeric text output carries 10 significant digits.
+numeric text output carries 10 significant digits.  A sweep holds at most
+MAX_SWEEP points.
+
+Each subcommand imports the layers it calls when it runs, so a process loads
+only those: ``sos`` loads ``realsos`` (with ``sdp`` and ``linalg``), and no
+``gambles`` or ``quantum``; ``coherence`` and ``prevision`` load ``gambles``
+and ``quantum``; ``witness`` and ``chsh`` add ``entangle``; ``charge`` adds
+``charges``.  Without cached bytecode every process compiles these again.
 """
 
 from __future__ import annotations
@@ -24,12 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import charges, entangle, gambles, io, realsos
 from .errors import PcohError, SolverFailure, ValidationError
-from .fixtures import bell_density_matrix
-from .quantum import DensityState
 
 _DEFAULT_ANGLES = (np.pi / 2.0, 0.0, np.pi / 4.0, -np.pi / 4.0)
+MAX_SWEEP = 100_000  # points of a ``chsh --sweep``
 
 
 def _fmt(x) -> str:
@@ -63,6 +68,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
+            from . import io
+
             return io.vector_to_json(obj.reshape(-1))
         return [float(v) for v in obj.reshape(-1)]
     if isinstance(obj, (np.floating, np.integer)):
@@ -89,6 +96,10 @@ def _read_file(path) -> bytes:
 
 
 def _load_state(args) -> tuple:
+    from . import io
+    from .fixtures import bell_density_matrix
+    from .quantum import DensityState
+
     if getattr(args, "bell", False):
         return DensityState(bell_density_matrix(), (2, 2)), b"builtin:bell"
     if not args.input:
@@ -111,6 +122,8 @@ def _print_report(report: RunReport, args, lines):
 
 
 def _cmd_coherence(args) -> tuple[RunReport, list[str]]:
+    from . import gambles, io
+
     raw = _read_file(args.input)
     assessments = io.assessments_from_json(json.loads(raw))
     verdict = gambles.is_p_coherent(assessments)
@@ -131,6 +144,8 @@ def _cmd_coherence(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_prevision(args) -> tuple[RunReport, list[str]]:
+    from . import gambles, io
+
     raw = _read_file(args.input)
     assessments = io.assessments_from_json(json.loads(raw))
     graw = _read_file(args.gamble)
@@ -145,6 +160,8 @@ def _cmd_prevision(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_witness(args) -> tuple[RunReport, list[str]]:
+    from . import entangle, io
+
     state, raw = _load_state(args)
     cfg = entangle.ProductStateSearchConfig(seed=args.seed)
     ppt = entangle.ppt_check(state)
@@ -173,8 +190,10 @@ def _cmd_witness(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_chsh(args) -> tuple[RunReport, list[str]]:
-    if args.sweep < 0:
-        raise ValidationError(f"--sweep must be nonnegative, got {args.sweep}")
+    from . import entangle
+
+    if not 0 <= args.sweep <= MAX_SWEEP:
+        raise ValidationError(f"--sweep takes 0 to {MAX_SWEEP} points, got {args.sweep}")
     state, raw = _load_state(args)
     angles = tuple(args.angles) if args.angles else _DEFAULT_ANGLES
     value = entangle.chsh_value(state, angles)
@@ -183,10 +202,7 @@ def _cmd_chsh(args) -> tuple[RunReport, list[str]]:
     lines = [f"chsh value: {_fmt(value)}"]
     if args.sweep:
         betas = np.linspace(0.0, np.pi, args.sweep)
-        values = [
-            entangle.chsh_value(state, (angles[0], angles[1], b, angles[3]))
-            for b in betas
-        ]
+        values = entangle.chsh_values(state, angles[0], angles[1], betas, angles[3])
         peak = int(np.argmax(values))
         report.results["sweep"] = {
             "beta1": [float(b) for b in betas],
@@ -204,6 +220,8 @@ def _cmd_chsh(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_sos(args) -> tuple[RunReport, list[str]]:
+    from . import io, realsos
+
     if args.motzkin:
         poly = realsos.motzkin(args.motzkin)
         raw = f"builtin:motzkin:{args.motzkin}".encode()
@@ -238,6 +256,8 @@ def _cmd_sos(args) -> tuple[RunReport, list[str]]:
 
 
 def _cmd_charge(args) -> tuple[RunReport, list[str]]:
+    from . import charges, gambles, io
+
     state, raw = _load_state(args)
     if args.bell_table:
         fixture = charges.bell_charge_fixture()
@@ -316,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", help="CHSH sum-gamble expectation")
     common(p, state_fixture=True)
     p.add_argument("--angles", type=float, nargs=4, metavar=("A1", "A2", "B1", "B2"))
-    p.add_argument("--sweep", type=int, default=0, help="sweep beta1 over [0, pi]")
+    p.add_argument(
+        "--sweep", type=int, default=0, metavar="N",
+        help=f"sweep beta1 over [0, pi] at N points, at most {MAX_SWEEP}",
+    )
     p.add_argument("--csv", help="CSV output path for sweeps")
 
     p = sub.add_parser("sos", help="sum-of-squares check of a degree-6 polynomial")

@@ -345,12 +345,34 @@ def chsh_gamble(alpha1: float, alpha2: float, beta1: float, beta2: float) -> Gam
     return Gamble(total, (2, 2))
 
 
-def chsh_value(rho: DensityState, angles) -> float:
-    """Expectation of the CHSH sum gamble in a two-qubit state."""
+def chsh_values(rho: DensityState, alpha1, alpha2, beta1s, beta2) -> np.ndarray:
+    """Expectations of the CHSH sum gamble in a two-qubit state, one per beta1.
+
+    The sum gamble is kron(P(a1) + P(a2), P(b1)) + kron(P(a2) - P(a1), P(b2))
+    with P(b1) = sin(b1) X + cos(b1) Z, so its expectation is
+    sin(b1) x + cos(b1) z + c for three traces x, z, c against rho that every
+    beta1 in the stack shares.
+    """
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError("CHSH evaluation expects a two-qubit state")
-    g = chsh_gamble(*angles)
-    return float(np.trace(g.matrix @ rho.matrix).real)
+    beta1s = np.asarray(beta1s, dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(beta1s)) and np.all(np.isfinite([alpha1, alpha2, beta2]))):
+        raise ValidationError("CHSH angles must be finite")
+    rho_t = rho.matrix.T
+    ga1, ga2 = _polariser(alpha1), _polariser(alpha2)
+
+    def expectation(a, b):  # Tr(kron(a, b) rho)
+        return float(np.sum(np.kron(a, b) * rho_t).real)
+
+    x, z = expectation(ga1 + ga2, SIGMA_X), expectation(ga1 + ga2, SIGMA_Z)
+    c = expectation(ga2 - ga1, _polariser(beta2))
+    return np.sin(beta1s) * x + np.cos(beta1s) * z + c
+
+
+def chsh_value(rho: DensityState, angles) -> float:
+    """Expectation of the CHSH sum gamble in a two-qubit state."""
+    alpha1, alpha2, beta1, beta2 = angles
+    return float(chsh_values(rho, alpha1, alpha2, beta1, beta2)[0])
 
 
 # ---------------------------------------------------------------------------

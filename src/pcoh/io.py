@@ -7,19 +7,26 @@ Matrix format (shared repo-wide)::
 
 Hermitian files may store just the upper triangle; the lower half is restored
 by conjugation.
+
+Only ``errors`` and numpy load with this module; each ``*_from_json`` builder
+imports its domain type when it runs, so the CLI loads only the layers its
+subcommand uses.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charges import DiscreteCharge
 from .errors import ValidationError
-from .gambles import AssessmentSet, Gamble
-from .quantum import DensityState
-from .realsos import BiPoly, MomentMatrix10
+
+if TYPE_CHECKING:
+    from .charges import DiscreteCharge
+    from .gambles import AssessmentSet, Gamble
+    from .quantum import DensityState
+    from .realsos import BiPoly, MomentMatrix10
 
 # what json-decoded input of the wrong shape or type raises on access/conversion
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
@@ -106,6 +113,8 @@ def assessments_to_json(a: AssessmentSet) -> dict:
 
 
 def assessments_from_json(obj) -> AssessmentSet:
+    from .gambles import AssessmentSet, Gamble
+
     try:
         dims = tuple(int(d) for d in obj["dims"])
         raw = list(obj.get("gambles", []))
@@ -120,6 +129,8 @@ def state_to_json(s: DensityState) -> dict:
 
 
 def state_from_json(obj) -> DensityState:
+    from .quantum import DensityState
+
     try:
         dims = tuple(int(d) for d in obj["dims"])
         rho = matrix_from_json(obj["rho"])
@@ -129,6 +140,8 @@ def state_from_json(obj) -> DensityState:
 
 
 def gamble_from_json(obj, dims=None) -> Gamble:
+    from .gambles import Gamble
+
     if isinstance(obj, dict) and "matrix" in obj:
         try:
             dims = tuple(int(d) for d in obj.get("dims", dims or ()))
@@ -153,6 +166,8 @@ def charge_to_json(c: DiscreteCharge) -> dict:
 
 
 def charge_from_json(obj, tol: float = 1e-9) -> DiscreteCharge:
+    from .charges import DiscreteCharge
+
     try:
         atoms = tuple(
             tuple(vector_from_json(v) for v in atom) for atom in obj["atoms"]
@@ -189,6 +204,8 @@ def _exponent_table(raw, what) -> dict:
 
 
 def poly_from_json(obj) -> BiPoly:
+    from .realsos import BiPoly
+
     try:
         raw = obj["coeffs"]
     except (KeyError, TypeError) as exc:
@@ -201,6 +218,8 @@ def moments_to_json(z: MomentMatrix10) -> dict:
 
 
 def moments_from_json(obj) -> MomentMatrix10:
+    from .realsos import MomentMatrix10
+
     try:
         raw = obj["z"]
     except (KeyError, TypeError) as exc:

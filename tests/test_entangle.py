@@ -390,6 +390,39 @@ class TestChsh:
             angles = rng.uniform(0.0, 2.0 * np.pi, size=4)
             assert entangle.chsh_value(rho, angles) <= bound
 
+    def test_stacked_values_match_the_gamble_trace(self):
+        # reference: the expectation of each beta1's sum gamble, built one at a time
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = a @ a.conj().T
+            rho = DensityState(m / np.trace(m).real, (2, 2))
+            a1, a2, b2 = rng.uniform(-np.pi, np.pi, size=3)
+            betas = np.linspace(0.0, np.pi, 37)
+            got = entangle.chsh_values(rho, a1, a2, betas, b2)
+            want = [
+                np.trace(entangle.chsh_gamble(a1, a2, b, b2).matrix @ rho.matrix).real
+                for b in betas
+            ]
+            assert got.shape == betas.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert entangle.chsh_value(rho, (a1, a2, betas[5], b2)) == got[5]
+
+    @pytest.mark.parametrize("angles", [
+        (np.nan, 0.0, 0.0, 0.0),
+        (0.0, np.inf, 0.0, 0.0),
+        (0.0, 0.0, -np.inf, 0.0),
+        (0.0, 0.0, 0.0, np.nan),
+    ])
+    def test_non_finite_angle_rejected(self, bell_state, angles):
+        with pytest.raises(ValidationError):
+            entangle.chsh_value(bell_state, angles)
+
+    def test_needs_two_qubits(self):
+        rho = DensityState(np.eye(6) / 6.0, (2, 3))
+        with pytest.raises(DimensionMismatchError):
+            entangle.chsh_values(rho, 0.0, 0.0, [0.0, 1.0], 0.0)
+
 
 class TestRealFormExpansion:
     def test_witness_fixture(self, witness_h):

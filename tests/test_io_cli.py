@@ -9,7 +9,7 @@ import pytest
 
 from conftest import S_FACTOR_LOSS_COEFFS, random_hermitian
 import pcoh
-from pcoh import charges, cli, io
+from pcoh import charges, cli, entangle, io
 from pcoh.charges import bell_charge_fixture
 from pcoh.errors import ValidationError
 from pcoh.fixtures import bell_density_matrix, bell_witness_gamble
@@ -243,6 +243,30 @@ class TestCliChsh:
         assert rows[0] == "beta1,value"
         assert len(rows) == 182
 
+    def test_sweep_matches_per_angle_values(self, workdir, capsys, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        rc, rep = run_json(
+            capsys,
+            ["chsh", "-i", str(workdir / "noisy.json"), "--sweep", "181", "--csv", str(csv_path)],
+        )
+        assert rc == 0
+        sweep = rep["results"]["sweep"]
+        rho = io.state_from_json(io.load_json(workdir / "noisy.json"))
+        betas = np.linspace(0.0, np.pi, 181)
+        a1, a2, _, b2 = cli._DEFAULT_ANGLES
+        want = [entangle.chsh_value(rho, (a1, a2, b, b2)) for b in betas]
+        assert sweep["beta1"] == betas.tolist()
+        assert np.max(np.abs(np.array(sweep["value"]) - want)) <= 1e-12
+        assert sweep["peak_beta1"] == float(betas[int(np.argmax(want))])
+        lines = csv_path.read_text().splitlines()
+        assert lines == ["beta1,value"] + [
+            f"{b:.10g},{v:.10g}" for b, v in zip(betas, sweep["value"])
+        ]
+
+    def test_largest_sweep(self, capsys):
+        assert cli.main(["chsh", "--bell", "--sweep", str(cli.MAX_SWEEP)]) == 0
+        assert "sweep peak at beta1" in capsys.readouterr().out
+
 
 class TestCliSos:
     def test_classic_not_sos(self, capsys):
@@ -368,6 +392,10 @@ class TestCliContract:
         (["witness", "--bell", "--epsilon", "nan"], "epsilon"),
         (["charge", "--bell", "--random", "100000000"], "atoms"),
         (["charge", "--bell", "--random", "-3"], "atoms"),
+        (["chsh", "--bell", "--sweep", "100000000"], "sweep"),
+        (["chsh", "--bell", "--sweep", str(cli.MAX_SWEEP + 1)], "sweep"),
+        (["chsh", "--bell", "--angles", "nan", "0", "0", "0"], "angles"),
+        (["chsh", "--bell", "--angles", "0", "0", "inf", "0"], "angles"),
     ])
     def test_out_of_range_number_exits_2_without_a_warning(self, capsys, argv, named):
         with warnings.catch_warnings(record=True) as seen:
@@ -418,3 +446,41 @@ class TestCliContract:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv, used, unused", [
+        (["sos", "--motzkin", "classic"], {"realsos"},
+         {"gambles", "quantum", "entangle", "charges"}),
+        (["coherence", "-i", "accept_identity.json"], {"gambles", "quantum"},
+         {"entangle", "realsos", "charges"}),
+        (["prevision", "-i", "vacuous.json", "--gamble", "witness.json"], {"gambles", "quantum"},
+         {"entangle", "realsos", "charges"}),
+        (["chsh", "--bell", "--sweep", "5"], {"entangle"}, {"realsos", "charges"}),
+        (["witness", "--bell"], {"entangle"}, {"realsos", "charges"}),
+        (["charge", "--bell", "--random", "4"], {"charges"}, {"entangle", "realsos"}),
+    ], ids=["sos", "coherence", "prevision", "chsh", "witness", "charge"])
+    def test_subcommand_loads_only_its_layers(self, workdir, argv, used, unused):
+        code = (
+            "import contextlib, io, sys\n"
+            "import pcoh.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = pcoh.cli.main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('pcoh')))"
+        )
+        status, *loaded = _run_python(code, *argv, cwd=workdir).split()
+        assert status == "0"
+        layers = {m.removeprefix("pcoh.") for m in loaded}
+        assert used <= layers and not unused & layers, loaded
+
+    def test_bare_package_import_loads_only_errors(self):
+        code = "import sys, pcoh; print(*sorted(m for m in sys.modules if m.startswith('pcoh')))"
+        assert _run_python(code).split() == ["pcoh", "pcoh.errors"]
+
+
+def _run_python(code, *args, cwd=None) -> str:
+    """Stdout of a fresh interpreter running ``code`` with this package importable."""
+    src = os.path.dirname(os.path.dirname(pcoh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True,
+    ).stdout
