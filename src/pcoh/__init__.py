@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`pcoh.linalg`   -- Hermitian kernel (checked eigendecomposition, tensor ops, partial trace)
 * :mod:`pcoh.sdp`      -- dense interior-point semidefinite solver
-* :mod:`pcoh.gambles`  -- P-coherence, natural extension, previsions, credal duals
+* :mod:`pcoh.gambles`  -- P-coherence, natural extension, previsions
 * :mod:`pcoh.quantum`  -- states, Born rule, conditioning, evolution, SIC rewrite
 * :mod:`pcoh.entangle` -- witnesses, PPT, Dutch-book certificates, CHSH
 * :mod:`pcoh.charges`  -- signed discrete charges over product supports
@@ -27,7 +27,6 @@ from .errors import (
 
 _LAZY = {
     "AssessmentSet": "gambles",
-    "CredalSet": "gambles",
     "Gamble": "gambles",
     "DensityState": "quantum",
     "ProjectiveMeasurement": "quantum",
@@ -36,7 +35,6 @@ _LAZY = {
 __all__ = [
     "AssessmentSet",
     "ConditioningError",
-    "CredalSet",
     "DensityState",
     "DimensionMismatchError",
     "Gamble",

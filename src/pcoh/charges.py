@@ -1,9 +1,10 @@
 """Discrete, possibly signed, charge representations of moment matrices.
 
 A charge here is a finite affine combination of Dirac atoms on product
-states.  Single-particle density matrices always admit a nonnegative one (the
-eigendecomposition); entangled matrices provably do not, which the fitting
-routines exhibit numerically.
+states.  Separable density matrices admit a nonnegative one; entangled
+matrices provably do not, which the fitting routines exhibit numerically.
+Moment matrices are fitted in the Hermitian coordinates of
+:func:`pcoh.linalg.hermitian_coords`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, SolverFailure, ValidationError
 from .fixtures import bell_signed_charge_table
-from .gambles import Gamble, gamble_eval
+from .gambles import Gamble
 from .quantum import DensityState
 
 _AFFINE_TOL = 1e-9
@@ -63,43 +64,17 @@ class DiscreteCharge:
         return tuple(len(v) for v in self.atoms[0])
 
 
-def eigen_charge(rho: DensityState) -> DiscreteCharge:
-    """Probability charge on eigenvectors reproducing a single-factor state."""
-    if len(rho.dims) != 1:
-        raise DimensionMismatchError("eigen decomposition charge expects a single factor")
-    eig = linalg.hermitian_eigen(rho.matrix)
-    if eig.values[0] < -1e-9:
-        raise ValidationError("state has a significantly negative eigenvalue")
-    atoms = tuple((eig.vectors[:, i],) for i in range(rho.dim))
-    return DiscreteCharge(atoms=atoms, weights=eig.values.copy())
-
-
 def charge_moment(c: DiscreteCharge, g: Gamble) -> float:
-    """Expectation of a gamble under the charge: sum_i w_i g(atom_i)."""
+    """Expectation of a gamble under the charge: sum_i w_i g(atom_i) = Re Tr(G M)."""
     if c.dims != g.dims:
         raise DimensionMismatchError("charge and gamble factor dims differ")
-    return float(
-        sum(w * gamble_eval(g, atom) for w, atom in zip(c.weights, c.atoms))
-    )
+    return float(np.vdot(charge_moment_matrix(c), g.matrix).real)
 
 
 def charge_moment_matrix(c: DiscreteCharge) -> np.ndarray:
-    """Second-moment matrix sum_i w_i (tensor atom_i)(tensor atom_i)^dagger."""
-    dim = int(np.prod(c.dims))
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, atom in zip(c.weights, c.atoms):
-        v = linalg.kron_all(atom)
-        out += w * np.outer(v, v.conj())
-    return linalg.as_hermitian(out, warn_tol=np.inf)
-
-
-def _real_coords(m):
-    """Frobenius-isometric real coordinates of a Hermitian matrix or a stack of them."""
-    iu, ju = np.triu_indices(m.shape[-1], 1)
-    upper = np.sqrt(2.0) * m[..., iu, ju]
-    return np.concatenate(
-        [np.diagonal(m, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1
-    )
+    """Second-moment matrix M = sum_i w_i (tensor atom_i)(tensor atom_i)^dagger."""
+    p = _product_rows([np.array(column) for column in zip(*c.atoms)])
+    return linalg.as_hermitian((p.T * c.weights) @ p.conj(), warn_tol=np.inf)
 
 
 def _unit_stacks(atoms, dims, kind):
@@ -126,13 +101,19 @@ def _unit_stacks(atoms, dims, kind):
     return stacks
 
 
-def _atom_system(stacks):
-    """Real coordinates of each atom's rank-one moment matrix, one column per atom."""
+def _product_rows(stacks):
+    """Row i is the tensor product of row i of each (K, d) factor stack, left to right."""
     k = stacks[0].shape[0]
     full = np.ones((k, 1), dtype=complex)
     for vecs in stacks:
         full = (full[:, :, None] * vecs[:, None, :]).reshape(k, -1)
-    return _real_coords(full[:, :, None] * full[:, None, :].conj()).T
+    return full
+
+
+def _atom_system(stacks):
+    """Hermitian coordinates of each atom's rank-one moment matrix, one column per atom."""
+    p = _product_rows(stacks)
+    return linalg.hermitian_coords(p[:, :, None] * p[:, None, :].conj()).T
 
 
 def fit_signed_charge(rho: DensityState, support) -> tuple:
@@ -153,7 +134,7 @@ def fit_signed_charge(rho: DensityState, support) -> tuple:
         raise ValidationError("support must contain at least one product atom")
     stacks = _unit_stacks(support, rho.dims, "support")
     a = _atom_system(stacks)
-    r = _real_coords(rho.matrix)
+    r = linalg.hermitian_coords(rho.matrix)
     k = a.shape[1]
     w0 = np.full(k, 1.0 / k)
     # |v|^2 = 2 + 2c is never near 0 (the sign LAPACK's QR picks), and v[1:] = c, so
@@ -223,7 +204,7 @@ def nonneg_fit_feasible(rho: DensityState, support, tol: float) -> bool:
     if not support:
         return False
     a = _atom_system(_unit_stacks(support, rho.dims, "support"))
-    r = _real_coords(rho.matrix)
+    r = linalg.hermitian_coords(rho.matrix)
     a_aug = np.vstack([a, np.ones((1, a.shape[1]))])
     r_aug = np.concatenate([r, [1.0]])
     w = _nnls(a_aug, r_aug, max_steps=50 * a.shape[1])

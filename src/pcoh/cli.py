@@ -260,6 +260,10 @@ def _cmd_charge(args) -> tuple[RunReport, list[str]]:
 
     state, raw = _load_state(args)
     if args.bell_table:
+        if state.dims != (2, 2):
+            raise ValidationError(
+                f"--bell-table replays a two-qubit charge; the state has dims {state.dims}"
+            )
         fixture = charges.bell_charge_fixture()
         moments = charges.charge_moment_matrix(fixture)
         residual = float(np.linalg.norm(moments - state.matrix))

@@ -11,14 +11,13 @@ from __future__ import annotations
 import cmath
 import string
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, ValidationError
 from .fixtures import SIGMA_X, SIGMA_Z
-from .gambles import AssessmentSet, Gamble, gamble_eval, natural_extension_contains
+from .gambles import AssessmentSet, Gamble, natural_extension_contains
 from .quantum import DensityState
 
 _LETTERS = string.ascii_letters
@@ -58,7 +57,7 @@ class PptResult:
 
 
 def _form_value(g_matrix, vecs):
-    v = reduce(np.multiply.outer, vecs).ravel()
+    v = linalg.tensor_product(vecs)
     return float((v.conj() @ g_matrix @ v).real)
 
 
@@ -142,7 +141,7 @@ def _newton_step(g_matrix, vecs, val):
         [_swap_in(vecs, bases, (k,)).reshape(-1, d - 1) for k, d in enumerate(dims)], axis=1
     )
     th = t.conj().T
-    gx = g_matrix @ reduce(np.multiply.outer, vecs).ravel()
+    gx = g_matrix @ linalg.tensor_product(vecs)
     g = th @ gx
     a = th @ (g_matrix @ t)
     a.reshape(-1)[:: size + 1] -= val
@@ -373,56 +372,6 @@ def chsh_value(rho: DensityState, angles) -> float:
     """Expectation of the CHSH sum gamble in a two-qubit state."""
     alpha1, alpha2, beta1, beta2 = angles
     return float(chsh_values(rho, alpha1, alpha2, beta1, beta2)[0])
-
-
-# ---------------------------------------------------------------------------
-# real-coordinate expansion check
-# ---------------------------------------------------------------------------
-
-
-def _real_expansion_value(g_matrix, xr, yr):
-    """Evaluate the quadratic form from real/imaginary parts only.
-
-    Builds the sesquilinear component products x_i^* x_j and y_k^* y_l in
-    explicit real arithmetic and contracts them against the coefficient
-    matrix, mirroring the degree-4 real polynomial expansion of the form.
-    """
-    xa, xb = xr[0::2], xr[1::2]
-    ya, yb = yr[0::2], yr[1::2]
-    x_re = np.outer(xa, xa) + np.outer(xb, xb)
-    x_im = np.outer(xa, xb) - np.outer(xb, xa)
-    y_re = np.outer(ya, ya) + np.outer(yb, yb)
-    y_im = np.outer(ya, yb) - np.outer(yb, ya)
-    g4 = g_matrix.reshape(2, 2, 2, 2)
-    g_re, g_im = g4.real, g4.imag
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    re_xy = x_re[i, j] * y_re[k, l] - x_im[i, j] * y_im[k, l]
-                    im_xy = x_re[i, j] * y_im[k, l] + x_im[i, j] * y_re[k, l]
-                    total += g_re[i, k, j, l] * re_xy - g_im[i, k, j, l] * im_xy
-    return total
-
-
-def real_form_expand_check(g: Gamble, samples: int = 1000, seed: int = 0) -> float:
-    """Max |complex form - real expansion| over random product states."""
-    if g.dims != (2, 2):
-        raise DimensionMismatchError("real expansion check expects a two-qubit gamble")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        xr = rng.standard_normal(4)
-        xr /= np.linalg.norm(xr)
-        yr = rng.standard_normal(4)
-        yr /= np.linalg.norm(yr)
-        x = np.array([xr[0] + 1j * xr[1], xr[2] + 1j * xr[3]])
-        y = np.array([yr[0] + 1j * yr[1], yr[2] + 1j * yr[3]])
-        complex_value = gamble_eval(g, [x, y])
-        real_value = _real_expansion_value(g.matrix, xr, yr)
-        worst = max(worst, abs(complex_value - real_value))
-    return worst
 
 
 def certificate_accepted(rho: DensityState, cert: WitnessCertificate) -> bool:

@@ -110,38 +110,17 @@ class AssessmentSet:
         the g_k (sum c_k g_k = sum (c_k + t) g_k + t (-sum g_k) with
         t = max(0, -min c_k)), which pins every expectation and hence the dual
         point.  The pairs +/-g_k span the same cone but would leave the
-        interior-point solve no interior.
+        interior-point solve no interior.  The E_k are
+        :func:`pcoh.linalg.hermitian_basis`, in its order; the singleton
+        solves depend on that order.
         """
         n = rho.dim
-        eye = np.eye(n)
-        gs = []
-        for e in _hermitian_basis(n):
-            g = e - float(np.trace(e @ rho.matrix).real) * eye
-            if np.linalg.norm(g) >= 1e-14:
-                gs.append(g)
+        basis = linalg.hermitian_basis(n)
+        values = np.einsum("kij,ji->k", basis, rho.matrix).real
+        gs = [g for g in basis - values[:, None, None] * np.eye(n) if np.linalg.norm(g) >= 1e-14]
         if gs:
             gs.append(-sum(gs))
         return cls(gambles=tuple(Gamble(g, rho.dims) for g in gs), dims=rho.dims)
-
-
-def _hermitian_basis(n: int) -> list:
-    out = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    rt = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = rt
-            e[j, i] = rt
-            out.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = -1j * rt
-            e[j, i] = 1j * rt
-            out.append(e)
-    return out
 
 
 @dataclass(frozen=True)
@@ -149,13 +128,6 @@ class CoherenceVerdict:
     p_coherent: bool
     certificate: object
     margin: float
-
-
-@dataclass(frozen=True)
-class CredalSet:
-    """Implicit dual set {rho : Tr(G rho) >= 0 for all assessed G}."""
-
-    assessments: AssessmentSet
 
 
 def gamble_eval(g: Gamble, states) -> float:
@@ -172,7 +144,7 @@ def gamble_eval(g: Gamble, states) -> float:
         if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
             raise ValidationError("factor states must have unit norm")
         vecs.append(v)
-    v = linalg.kron_all(vecs)
+    v = linalg.tensor_product(vecs)
     val = complex(v.conj() @ g.matrix @ v)
     if abs(val.imag) > _IMAG_TOL * (1.0 + np.linalg.norm(g.matrix)):
         raise ValidationError(f"quadratic form returned imaginary residue {val.imag}")
@@ -410,11 +382,3 @@ def prevision_witness(a: AssessmentSet, f: Gamble) -> np.ndarray:
     """Density matrix attaining the lower prevision (the dual optimiser)."""
     return _solve_prevision(a, f).primal_matrix
 
-
-def credal_contains(c: CredalSet, rho: DensityState, slack: float = 1e-9) -> bool:
-    """Membership of a density state in the dual credal set."""
-    if rho.dim != c.assessments.dim:
-        raise DimensionMismatchError("state dimension does not match the credal set")
-    return all(
-        float(np.trace(g @ rho.matrix).real) >= -slack for g in c.assessments.matrices
-    )

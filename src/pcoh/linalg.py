@@ -4,6 +4,13 @@ Matrices are plain ``numpy`` arrays; Hermitian inputs are symmetrised once at
 the construction points via :func:`as_hermitian` and treated as exact from
 then on.  Eigendecompositions come from LAPACK (``numpy.linalg.eigh``) and are
 verified before use; nothing here is meant for matrices beyond dim 64.
+
+Hermitian n x n matrices have one real coordinate system here, the
+orthonormal basis of :func:`hermitian_basis` under the Frobenius inner
+product: the n diagonal units E_ii, then for each upper entry i < j, row by
+row, the pair (E_ij + E_ji) / sqrt(2) and (-i E_ij + i E_ji) / sqrt(2).  The
+coordinates of M (:func:`hermitian_coords`) are therefore M_ii, then
+sqrt(2) Re M_ij and -sqrt(2) Im M_ij interleaved.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -62,11 +70,39 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_all(vectors) -> np.ndarray:
-    """Tensor product of a sequence of vectors, left to right."""
-    out = np.asarray(vectors[0], dtype=complex)
-    for v in vectors[1:]:
-        out = np.kron(out, np.asarray(v, dtype=complex))
+def tensor_product(vecs) -> np.ndarray:
+    """Tensor product of a sequence of 1-D vectors, left to right, as one flat vector."""
+    return reduce(np.multiply.outer, vecs).ravel()
+
+
+def hermitian_basis(n: int) -> np.ndarray:
+    """The (n*n, n, n) stack of the orthonormal Hermitian basis named in the module doc."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1.0
+    iu, ju = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(len(iu))
+    rt = 1.0 / np.sqrt(2.0)
+    basis[k, iu, ju] = rt
+    basis[k, ju, iu] = rt
+    basis[k + 1, iu, ju] = -1j * rt
+    basis[k + 1, ju, iu] = 1j * rt
+    return basis
+
+
+def hermitian_coords(m) -> np.ndarray:
+    """Coordinates of a Hermitian matrix, or of each in a stack, in :func:`hermitian_basis`.
+
+    The map is a Frobenius isometry: Tr(A B) is the dot product of the coordinates.
+    """
+    m = np.asarray(m)
+    n = m.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    upper = m[..., iu, ju]
+    out = np.empty(m.shape[:-2] + (n * n,))
+    out[..., :n] = np.diagonal(m, axis1=-2, axis2=-1).real
+    np.multiply(upper.real, np.sqrt(2.0), out=out[..., n::2])
+    np.multiply(upper.imag, -np.sqrt(2.0), out=out[..., n + 1 :: 2])
     return out
 
 
@@ -146,20 +182,6 @@ def partial_transpose(h, dims, which: int = 1) -> np.ndarray:
     else:
         t = t.transpose(0, 3, 2, 1)
     return t.reshape(na * nb, na * nb)
-
-
-def swap_factors(h, dims) -> np.ndarray:
-    """Reorder a bipartite operator from x (x) y to y (x) x tensor ordering.
-
-    Conversion helper for data written in the basis where the first factor's
-    index varies fastest; the built-in fixtures are invariant under it.
-    """
-    h, dims = _check_dims(h, dims)
-    if len(dims) != 2:
-        raise DimensionMismatchError("swap_factors expects exactly two factors")
-    na, nb = dims
-    perm = np.arange(na * nb).reshape(na, nb).T.reshape(-1)
-    return h[np.ix_(perm, perm)]
 
 
 def is_psd(h, tol: float = 1e-9) -> bool:

@@ -248,12 +248,6 @@ def sos_check_detail(p: BiPoly) -> SosVerdict:
     return SosVerdict(False, margin, None, moments, value)
 
 
-def sos_check(p: BiPoly):
-    """Gram certificate if the polynomial is a sum of squares, else None."""
-    verdict = sos_check_detail(p)
-    return verdict.gram if verdict.is_sos else None
-
-
 def moment_functional(zmat: MomentMatrix10, p: BiPoly) -> float:
     """L(p) = sum of coefficients against the moment table; linear in p."""
     total = 0.0
@@ -294,24 +288,6 @@ def entangled_moment_fixture() -> MomentMatrix10:
     table[(6, 0)] = table[(0, 6)] = 706955894.0
     table[(4, 2)] = table[(2, 4)] = 17.0
     return MomentMatrix10(z=table)
-
-
-def marginal_moment_matrix(zmat: MomentMatrix10, var: str) -> np.ndarray:
-    """4x4 Hankel matrix of the chosen variable's moments up to degree six."""
-    if var == "x1":
-        key = lambda d: (d, 0)
-    elif var == "x2":
-        key = lambda d: (0, d)
-    else:
-        raise ValidationError("var must be 'x1' or 'x2'")
-    out = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            pair = key(i + j)
-            if pair not in zmat.z:
-                raise ValidationError(f"moment table missing entry for exponents {pair}")
-            out[i, j] = zmat.z[pair]
-    return out
 
 
 def fixture_is_psd(zmat: MomentMatrix10, rel_tol: float = 1e-6) -> bool:

@@ -25,32 +25,35 @@ def separable_pair():
     return rho, support
 
 
+def eigen_charge(rho):
+    """Probability charge on the eigenvectors of a single-factor state."""
+    values, vectors = np.linalg.eigh(rho.matrix)
+    return charges.DiscreteCharge(atoms=tuple((v,) for v in vectors.T), weights=values)
+
+
 class TestEigenCharge:
     def test_diagonal(self):
         rho = DensityState(np.diag([0.3, 0.7]), (2,))
-        c = charges.eigen_charge(rho)
+        c = eigen_charge(rho)
         assert np.allclose(sorted(c.weights), [0.3, 0.7], atol=1e-12)
         assert np.linalg.norm(charges.charge_moment_matrix(c) - rho.matrix) <= 1e-12
 
     def test_pure_state(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         rho = DensityState(np.outer(plus, plus), (2,))
-        c = charges.eigen_charge(rho)
+        c = eigen_charge(rho)
         top = np.argmax(c.weights)
         assert abs(c.weights[top] - 1.0) <= 1e-12
         assert abs(abs(np.vdot(c.atoms[top][0], plus)) - 1.0) <= 1e-9
+        assert np.linalg.norm(charges.charge_moment_matrix(c) - rho.matrix) <= 1e-12
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = DensityState(random_density(rng, 3), (3,))
-            c = charges.eigen_charge(rho)
+            c = eigen_charge(rho)
             assert np.all(c.weights >= -1e-9)
             assert np.linalg.norm(charges.charge_moment_matrix(c) - rho.matrix) <= 1e-10
-
-    def test_multi_factor_rejected(self, bell_state):
-        with pytest.raises(DimensionMismatchError):
-            charges.eigen_charge(bell_state)
 
 
 class TestDiscreteChargeValidation:
@@ -102,7 +105,7 @@ class TestChargeMoment:
         rng = np.random.default_rng(15)
         for _ in range(50):
             rho = DensityState(random_density(rng, 2), (2,))
-            c = charges.eigen_charge(rho)
+            c = eigen_charge(rho)
             g = gambles.Gamble(random_hermitian(rng, 2), (2,))
             want = float(np.trace(g.matrix @ rho.matrix).real)
             assert abs(charges.charge_moment(c, g) - want) <= 1e-9
@@ -117,6 +120,32 @@ class TestChargeMoment:
             charges.charge_moment(c, gambles.Gamble(g, (2, 2)))
         )
         assert abs(charges.charge_moment(c, combo) - want) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+    def test_batched_moments_match_a_per_atom_sum(self, dims):
+        rng = np.random.default_rng(65)
+        atoms = charges.random_product_support(dims, 12, seed=8)
+        weights = rng.standard_normal(12)
+        weights += (1.0 - weights.sum()) / 12
+        c = charges.DiscreteCharge(atoms=atoms, weights=weights)
+        assert c.weights.min() < 0.0
+        n = int(np.prod(dims))
+        want = np.zeros((n, n), dtype=complex)
+        for w, atom in zip(c.weights, c.atoms):
+            v = atom[0]
+            for f in atom[1:]:
+                v = np.kron(v, f)
+            want += w * np.outer(v, v.conj())
+        assert np.abs(charges.charge_moment_matrix(c) - want).max() <= 1e-12
+        for _ in range(5):
+            g = gambles.Gamble(random_hermitian(rng, n), dims)
+            by_atom = sum(w * gambles.gamble_eval(g, atom) for w, atom in zip(c.weights, c.atoms))
+            assert abs(charges.charge_moment(c, g) - by_atom) <= 1e-12
+
+    def test_dims_must_match_the_gamble(self):
+        c = charges.bell_charge_fixture()
+        with pytest.raises(DimensionMismatchError, match="dims differ"):
+            charges.charge_moment(c, gambles.Gamble(np.eye(4), (4,)))
 
 
 class TestFitSignedCharge:

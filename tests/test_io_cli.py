@@ -396,8 +396,19 @@ class TestCliContract:
         (["chsh", "--bell", "--sweep", str(cli.MAX_SWEEP + 1)], "sweep"),
         (["chsh", "--bell", "--angles", "nan", "0", "0", "0"], "angles"),
         (["chsh", "--bell", "--angles", "0", "0", "inf", "0"], "angles"),
+        # the nine-atom table is a two-qubit charge; "mixed:DIMS" is a mixed state file
+        (["charge", "-i", "mixed:3,3", "--bell-table"], "dims (3, 3)"),
+        (["charge", "-i", "mixed:2,3", "--bell-table"], "dims (2, 3)"),
+        (["charge", "-i", "mixed:4", "--bell-table"], "dims (4,)"),
     ])
-    def test_out_of_range_number_exits_2_without_a_warning(self, capsys, argv, named):
+    def test_out_of_range_number_exits_2_without_a_warning(self, capsys, tmp_path, argv, named):
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if arg.startswith("mixed:"):
+                dims = tuple(int(d) for d in arg[6:].split(","))
+                n = int(np.prod(dims))
+                argv[i] = str(tmp_path / "mixed.json")
+                io.dump_json(io.state_to_json(DensityState(np.eye(n) / n, dims)), argv[i])
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert cli.main(argv) == 2

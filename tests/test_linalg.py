@@ -209,15 +209,47 @@ class TestHermitize:
         assert np.array_equal(h, h_default)
 
 
-class TestSwapFactors:
-    def test_reorders_product(self):
+class TestTensorProduct:
+    def test_matches_a_kron_chain(self):
         rng = np.random.default_rng(31)
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        assert np.allclose(
-            linalg.swap_factors(np.kron(a, b), (2, 2)), np.kron(b, a), atol=1e-14
-        )
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3, 2)]
+        want = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
+        assert np.array_equal(linalg.tensor_product(vecs), want)
 
-    def test_fixtures_invariant(self, rho_bell, witness_h):
-        assert np.allclose(linalg.swap_factors(rho_bell, (2, 2)), rho_bell, atol=0.0)
-        assert np.allclose(linalg.swap_factors(witness_h, (2, 2)), witness_h, atol=0.0)
+    def test_single_vector_is_itself(self):
+        v = np.array([1.0, 2.0j, -3.0])
+        assert np.array_equal(linalg.tensor_product([v]), v)
+
+
+class TestHermitianCoords:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_coords_of_the_basis_are_the_identity(self, n):
+        basis = linalg.hermitian_basis(n)
+        assert basis.shape == (n * n, n, n)
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        assert np.abs(linalg.hermitian_coords(basis) - np.eye(n * n)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_preserves_frobenius_inner_products(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.array([random_hermitian(rng, n) for _ in range(7)])
+        coords = linalg.hermitian_coords(stack)
+        traces = np.einsum("aij,bji->ab", stack, stack).real
+        assert np.abs(coords @ coords.T - traces).max() <= 1e-12 * (1.0 + np.abs(traces).max())
+
+    def test_layout(self):
+        rng = np.random.default_rng(3)
+        m = random_hermitian(rng, 3)
+        rt = np.sqrt(2.0)
+        want = [m[0, 0].real, m[1, 1].real, m[2, 2].real,
+                rt * m[0, 1].real, -rt * m[0, 1].imag, rt * m[0, 2].real, -rt * m[0, 2].imag,
+                rt * m[1, 2].real, -rt * m[1, 2].imag]
+        assert np.array_equal(linalg.hermitian_coords(m), want)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([[random_hermitian(rng, 3) for _ in range(2)] for _ in range(3)])
+        coords = linalg.hermitian_coords(stack)
+        assert coords.shape == (3, 2, 9)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(coords[idx], linalg.hermitian_coords(stack[idx]))

@@ -75,7 +75,7 @@ class TestMotzkin:
 
 class TestSosCheck:
     def test_sum_of_two_squares(self):
-        cert = realsos.sos_check(realsos.BiPoly({(2, 0): 1.0, (0, 2): 1.0}))
+        cert = realsos.sos_check_detail(realsos.BiPoly({(2, 0): 1.0, (0, 2): 1.0})).gram
         assert cert is not None
         assert abs(cert.Q[1, 1] - 1.0) <= 1e-6
         assert abs(cert.Q[2, 2] - 1.0) <= 1e-6
@@ -84,7 +84,7 @@ class TestSosCheck:
     def test_classic_motzkin_rejected_with_certificate(self):
         verdict = realsos.sos_check_detail(realsos.motzkin("classic"))
         assert not verdict.is_sos
-        assert realsos.sos_check(realsos.motzkin("classic")) is None
+        assert verdict.gram is None
         # the separating functional is a PSD moment table negative on the poly
         assert verdict.certificate_value < -1e-6
         moments = realsos.MomentMatrix10(verdict.moment_certificate)
@@ -100,7 +100,7 @@ class TestSosCheck:
     def test_perfect_square_reconstructs(self):
         # (x1 x2 - 1)^2 expanded by the oracle
         base = {(1, 1): 1.0, (0, 0): -1.0}
-        cert = realsos.sos_check(realsos.BiPoly(expand_square(base)))
+        cert = realsos.sos_check_detail(realsos.BiPoly(expand_square(base))).gram
         assert cert is not None
         assert cert.coefficient_residual <= 1e-8
 
@@ -115,7 +115,7 @@ class TestSosCheck:
             for k, v in expand_square(coeffs).items():
                 total[k] = total.get(k, 0.0) + v
         p = realsos.BiPoly(total)
-        cert = realsos.sos_check(p)
+        cert = realsos.sos_check_detail(p).gram
         assert cert is not None
         assert cert.coefficient_residual <= 1e-7
         # reconstruct and compare at sample points
@@ -178,7 +178,7 @@ class TestSosCheck:
     def test_gram_recheck_rejects_coefficient_mismatch(self, monkeypatch):
         # Gram matrix I: strictly inside the cone, so only the coefficients can fail
         p = realsos.BiPoly({(2 * a, 2 * b): 1.0 for a, b in realsos.MONOMIAL_EXPONENTS})
-        assert realsos.sos_check(p) is not None
+        assert realsos.sos_check_detail(p).gram is not None
         lstsq = np.linalg.lstsq
 
         def off_target(a, b, rcond=None):
@@ -211,7 +211,7 @@ class TestSosCheck:
         rng = np.random.default_rng(11)
         base = {(1, 0): 1.0, (0, 1): -0.5, (2, 1): 0.3}
         p = realsos.BiPoly(expand_square(base))
-        assert realsos.sos_check(p) is not None
+        assert realsos.sos_check_detail(p).gram is not None
         assert realsos.grid_min(p, 3.0, 301) >= -1e-6
 
 
@@ -275,21 +275,27 @@ class TestAssemble:
         assert linalg.hermitian_eigen(scaled).values[0] >= -1e-6
 
 
+def marginal_moment_matrix(zmat, var):
+    """4x4 Hankel matrix of one variable's moments up to degree six."""
+    key = (lambda d: (d, 0)) if var == "x1" else (lambda d: (0, d))
+    return np.array([[zmat.z[key(i + j)] for j in range(4)] for i in range(4)])
+
+
 class TestMarginals:
     def test_fixture_marginals_match_print(self):
         z = realsos.entangled_moment_fixture()
         for var in ("x1", "x2"):
-            assert np.array_equal(realsos.marginal_moment_matrix(z, var), MARGINAL_MATRIX)
+            assert np.array_equal(marginal_moment_matrix(z, var), MARGINAL_MATRIX)
 
     def test_point_mass_marginal(self):
         table = {pair: 1.0 for pair in realsos.PRODUCT_EXPONENTS}
-        out = realsos.marginal_moment_matrix(realsos.MomentMatrix10(table), "x1")
+        out = marginal_moment_matrix(realsos.MomentMatrix10(table), "x1")
         assert np.array_equal(out, np.ones((4, 4)))
 
     def test_fixture_marginals_psd(self):
         z = realsos.entangled_moment_fixture()
         for var in ("x1", "x2"):
-            m = realsos.marginal_moment_matrix(z, var)
+            m = marginal_moment_matrix(z, var)
             assert np.linalg.eigvalsh(m / np.linalg.norm(m))[0] >= -1e-9
 
 
@@ -314,7 +320,7 @@ class TestDualityLink:
             expand_square({(1, 1): 1.0, (0, 0): -1.0}),
         ):
             p = realsos.BiPoly(coeffs)
-            cert = realsos.sos_check(p)
+            cert = realsos.sos_check_detail(p).gram
             assert cert is not None
             pairing = float((cert.Q * zmat).sum())
             want = realsos.moment_functional(z, p)
